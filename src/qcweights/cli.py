@@ -14,17 +14,22 @@ in the class, or resonances found).
 from __future__ import annotations
 
 import csv
+import functools
 import io
-import itertools
 import json
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 
 import click
 
 from qcweights import core, counting
-from qcweights.model import MembershipVerdict, ObstructionSet, WeightError, WeightTuple
+from qcweights.model import (
+    ClassFailure,
+    MembershipVerdict,
+    ObstructionSet,
+    ScanRow,
+    WeightError,
+)
 
 FORMAT_ENVVAR = "QCW_FORMAT"
 
@@ -86,7 +91,7 @@ def _finish(
     fmt: str,
     out: str | None,
     started: float,
-    text_lines: list[str],
+    text_lines: Callable[[], list[str]],
 ) -> None:
     if fmt == "json":
         envelope = {
@@ -98,19 +103,22 @@ def _finish(
         }
         rendered = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
     else:
-        rendered = "\n".join(text_lines) + "\n"
+        rendered = "\n".join(text_lines()) + "\n"
     _write(rendered, out)
 
 
+def _failure_result(failure: ClassFailure | None) -> dict | None:
+    if failure is None:
+        return None
+    return {"reason": failure.reason, "level": failure.level}
+
+
 def _verdict_result(verdict: MembershipVerdict) -> dict:
-    failure = None
-    if verdict.failure is not None:
-        failure = {"reason": verdict.failure.reason, "level": verdict.failure.level}
     return {
         "weight": list(verdict.weight.m),
         "in_class": verdict.in_class,
         "witnesses": list(verdict.witnesses),
-        "failure": failure,
+        "failure": _failure_result(verdict.failure),
     }
 
 
@@ -160,7 +168,7 @@ def classify(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: str | 
         fmt,
         out,
         started,
-        _verdict_text(verdict),
+        lambda: _verdict_text(verdict),
     )
     if not verdict.in_class:
         ctx.exit(3)
@@ -176,13 +184,16 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
     """Compute the obstruction set of one window over a prefix."""
     started = time.perf_counter()
     result_set = core.obstruction_set(prefix, window, backend)
-    text = [
-        f"prefix: {' '.join(str(x) for x in result_set.prefix)}",
-        f"M: {result_set.window}",
-        f"interval: ({result_set.interval[0]}, {result_set.interval[1]})",
-        f"elements: {_fmt_set(result_set.elements)}",
-        f"size: {result_set.size}",
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"prefix: {' '.join(str(x) for x in result_set.prefix)}",
+            f"M: {result_set.window}",
+            f"interval: ({result_set.interval[0]}, {result_set.interval[1]})",
+            f"elements: {_fmt_set(result_set.elements)}",
+            f"size: {result_set.size}",
+        ]
+
     _finish(
         "iset",
         {"prefix": list(prefix), "M": window, "backend": backend},
@@ -213,11 +224,15 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
         "count": len(witnesses),
         "witnesses": [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses],
     }
-    text = [
-        f"weight: {' '.join(str(x) for x in weights)}",
-        f"count: {len(witnesses)}",
-    ]
-    text.extend(f"(i={w.i}, j={w.j}, k={_fmt_list(w.k)})" for w in witnesses)
+
+    def text() -> list[str]:
+        lines = [
+            f"weight: {' '.join(str(x) for x in weights)}",
+            f"count: {len(witnesses)}",
+        ]
+        lines.extend(f"(i={w.i}, j={w.j}, k={_fmt_list(w.k)})" for w in witnesses)
+        return lines
+
     _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
     if witnesses:
         ctx.exit(3)
@@ -244,13 +259,16 @@ def enumerate_cmd(
         "admissible": admissible,
         "count": len(admissible),
     }
-    text = [
-        f"prefix: {' '.join(str(x) for x in prefix)}",
-        f"M: {window}",
-        f"interval: ({lo}, {hi})",
-        f"admissible: {_fmt_set(admissible)}",
-        f"count: {len(admissible)}",
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"prefix: {' '.join(str(x) for x in prefix)}",
+            f"M: {window}",
+            f"interval: ({lo}, {hi})",
+            f"admissible: {_fmt_set(admissible)}",
+            f"count: {len(admissible)}",
+        ]
+
     _finish(
         "enumerate",
         {"prefix": list(prefix), "M": window, "backend": backend},
@@ -287,16 +305,19 @@ def count(ctx: click.Context, m1: int, m2: int, fmt: str, out: str | None) -> No
         "closed_form": report.closed_form,
         "matches": report.matches,
     }
-    text = [
-        f"m1: {report.m1}",
-        f"m2: {report.m2}",
-        f"window_size: {report.window_size}",
-        f"i_set_size: {report.i_set_size}",
-        f"gap_set: {_fmt_set(report.gap_set)}",
-        f"formula: {report.formula if report.formula is not None else 'none'}",
-        f"closed_form: {report.closed_form if report.closed_form is not None else 'none'}",
-        f"matches: {_fmt_bool(report.matches)}",
-    ]
+
+    def text() -> list[str]:
+        return [
+            f"m1: {report.m1}",
+            f"m2: {report.m2}",
+            f"window_size: {report.window_size}",
+            f"i_set_size: {report.i_set_size}",
+            f"gap_set: {_fmt_set(report.gap_set)}",
+            f"formula: {report.formula if report.formula is not None else 'none'}",
+            f"closed_form: {report.closed_form if report.closed_form is not None else 'none'}",
+            f"matches: {_fmt_bool(report.matches)}",
+        ]
+
     _finish("count", {"m1": m1, "m2": m2}, result, "sieve", fmt, out, started, text)
     if not report.matches:
         click.echo("internal mismatch: closed form disagrees with enumeration", err=True)
@@ -331,100 +352,68 @@ def table(name: str, fmt: str, out: str | None) -> None:
             "m1": counting.TABLE_D_M1,
             "rows": [{"m2": m2, "d": d, "S": list(gap)} for m2, d, gap in rows],
         }
-        text = _d_table_lines(counting.TABLE_D_M1, rows)
+        text = functools.partial(_d_table_lines, counting.TABLE_D_M1, rows)
     else:
         rows = counting.table_f(counting.TABLE_F_M2)
         result = {"rows": [{"m2": m2, "f": f} for m2, f in rows]}
-        text = _f_table_lines(rows)
+        text = functools.partial(_f_table_lines, rows)
     _finish("table", {"name": name}, result, "sieve", fmt, out, started, text)
 
 
-def _level_i_sizes(m: tuple[int, ...]) -> list[int | None]:
-    sizes: list[int | None] = []
-    for j in range(3, len(m) + 1):
-        prefix = m[: j - 1]
-        sigma = sum(prefix)
-        mj = m[j - 1]
-        if mj % sigma == 0:
-            sizes.append(None)
-        else:
-            window = mj // sigma + 1
-            sizes.append(core.obstruction_set(prefix, window).size)
-    return sizes
+# Filter name -> (in_class_only, resonance_free_only) for core.scan; the
+# disagree filter then keeps the rows that have resonances.
+_SCAN_FILTERS = {
+    "in-class": (True, False),
+    "resonance-free": (False, True),
+    "both": (True, True),
+    "disagree": (True, False),
+}
 
 
-def _scan_row(m: tuple[int, ...], row_filter: str) -> dict | None:
-    verdict = core.is_in_class(WeightTuple(m))
-    if row_filter == "in-class" and not verdict.in_class:
-        return None
-    n_res = len(core.resonances(WeightTuple(m)))
-    if row_filter == "resonance-free" and n_res > 0:
-        return None
-    if row_filter == "both" and not (verdict.in_class and n_res == 0):
-        return None
-    if row_filter == "disagree" and not (verdict.in_class and n_res > 0):
-        return None
-    row = _verdict_result(verdict)
-    row["n_resonances"] = n_res
-    row["i_set_sizes"] = _level_i_sizes(m)
-    return row
+def _scan_result(row: ScanRow) -> dict:
+    # json renders tuples as arrays; sharing the row's tuples instead of
+    # copying them into lists keeps tens of thousands of lists off the heap.
+    return {
+        "weight": row.weight,
+        "in_class": row.in_class,
+        "witnesses": row.witnesses,
+        "failure": _failure_result(row.failure),
+        "n_resonances": row.n_resonances,
+        "i_set_sizes": row.i_set_sizes,
+    }
 
 
-def _scan_rows(arity: int, max_weight: int, row_filter: str, workers: int) -> list[dict]:
-    firsts = range(1, max_weight - arity + 2)
-
-    def work(first: int) -> list[dict]:
-        rows = []
-        for rest in itertools.combinations(range(first + 1, max_weight + 1), arity - 1):
-            m = (first, *rest)
-            if math.gcd(*m) != 1:
-                continue
-            row = _scan_row(m, row_filter)
-            if row is not None:
-                rows.append(row)
-        return rows
-
-    if workers <= 1:
-        chunks = [work(first) for first in firsts]
-    else:
-        # Disjoint lexicographic ranges per worker; map preserves order, so
-        # the merged output is schedule-independent.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(work, firsts))
-    return [row for chunk in chunks for row in chunk]
-
-
-def _scan_text(rows: list[dict]) -> list[str]:
+def _scan_text(rows: list[ScanRow]) -> list[str]:
     lines = []
     for row in rows:
         parts = [
-            " ".join(str(x) for x in row["weight"]),
-            f"in_class={_fmt_bool(row['in_class'])}",
-            f"witnesses={_fmt_list(row['witnesses'])}",
-            f"resonances={row['n_resonances']}",
-            "i_sizes=" + _fmt_list("-" if s is None else s for s in row["i_set_sizes"]),
+            " ".join(str(x) for x in row.weight),
+            f"in_class={_fmt_bool(row.in_class)}",
+            f"witnesses={_fmt_list(row.witnesses)}",
+            f"resonances={row.n_resonances}",
+            "i_sizes=" + _fmt_list("-" if s is None else s for s in row.i_set_sizes),
         ]
-        if row["failure"] is not None:
-            parts.append(f"failure={row['failure']['reason']}@{row['failure']['level']}")
+        if row.failure is not None:
+            parts.append(f"failure={row.failure.reason}@{row.failure.level}")
         lines.append("  ".join(parts))
     lines.append(f"rows: {len(rows)}")
     return lines
 
 
-def _scan_csv(rows: list[dict]) -> str:
+def _scan_csv(rows: list[ScanRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"])
     for row in rows:
-        failure = row["failure"]
+        failure = row.failure
         writer.writerow(
             [
-                " ".join(str(x) for x in row["weight"]),
-                _fmt_bool(row["in_class"]),
-                " ".join(str(x) for x in row["witnesses"]),
-                row["n_resonances"],
-                " ".join("-" if s is None else str(s) for s in row["i_set_sizes"]),
-                "" if failure is None else f"{failure['reason']}@{failure['level']}",
+                " ".join(str(x) for x in row.weight),
+                _fmt_bool(row.in_class),
+                " ".join(str(x) for x in row.witnesses),
+                row.n_resonances,
+                " ".join("-" if s is None else str(s) for s in row.i_set_sizes),
+                "" if failure is None else f"{failure.reason}@{failure.level}",
             ]
         )
     return buf.getvalue()
@@ -440,7 +429,6 @@ def _scan_csv(rows: list[dict]) -> str:
     default="in-class",
     help="Which weights become rows.",
 )
-@click.option("--workers", type=int, default=1, help="Worker threads over disjoint ranges.")
 @_scan_format_option
 @_out_option
 @click.pass_context
@@ -449,7 +437,6 @@ def scan(
     arity: int,
     max_weight: int,
     row_filter: str,
-    workers: int,
     fmt: str,
     out: str | None,
 ) -> None:
@@ -461,22 +448,18 @@ def scan(
     makes the scan exit 2.
     """
     started = time.perf_counter()
-    if arity < 2:
-        raise WeightError(f"scan needs n >= 2, got {arity}")
-    if max_weight < arity:
-        raise WeightError(f"scan needs max >= n, got max {max_weight} with n {arity}")
-    rows = _scan_rows(arity, max_weight, row_filter, workers)
-    input_echo = {
-        "n": arity,
-        "max": max_weight,
-        "filter": row_filter,
-        "workers": workers,
-    }
+    in_class_only, resonance_free_only = _SCAN_FILTERS[row_filter]
+    rows = core.scan(
+        arity, max_weight, in_class_only=in_class_only, resonance_free_only=resonance_free_only
+    )
+    if row_filter == "disagree":
+        rows = [row for row in rows if row.n_resonances > 0]
+    input_echo = {"n": arity, "max": max_weight, "filter": row_filter}
     if fmt == "csv":
         _write(_scan_csv(rows), out)
     else:
-        result = {"rows": rows, "count": len(rows)}
-        _finish("scan", input_echo, result, "apery", fmt, out, started, _scan_text(rows))
+        result = {"rows": [_scan_result(row) for row in rows], "count": len(rows)}
+        _finish("scan", input_echo, result, "apery", fmt, out, started, lambda: _scan_text(rows))
     if row_filter == "disagree" and rows:
         click.echo(
             f"internal mismatch: {len(rows)} in-class weights have resonances", err=True

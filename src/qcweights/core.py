@@ -1,5 +1,6 @@
 """Weight validation, window/obstruction machinery, class membership,
-resonance detection, and admissible-weight enumeration.
+resonance detection and counting, admissible-weight enumeration, and the
+scan over all weights of one length.
 
 All arithmetic is exact over Python integers.  Every operation here has
 brute-force-verifiable semantics: the ``brute`` backend and the bounded
@@ -22,6 +23,7 @@ from qcweights.model import (
     MembershipVerdict,
     ObstructionSet,
     ResonanceWitness,
+    ScanRow,
     WeightError,
     WeightTuple,
 )
@@ -188,31 +190,78 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
     return semigroup.obstruction_set_fast(pref, M, table)
 
 
-def _class_verdict(entries: tuple[int, ...], weight: WeightTuple) -> MembershipVerdict:
-    # The literal recursive membership conditions.  No gcd condition appears
-    # here: prefixes of valid weights may have gcd > 1.
-    if entries[0] < 2:
-        return MembershipVerdict(weight, False, (), ClassFailure(BASE_CASE_M1, 2))
-    if entries[1] % entries[0] == 0:
-        return MembershipVerdict(weight, False, (), ClassFailure(BASE_CASE_DIVISIBILITY, 2))
-    witnesses: list[int] = []
-    for j in range(3, len(entries) + 1):
-        prefix = entries[: j - 1]
-        sigma = sum(prefix)
-        mj = entries[j - 1]
-        if mj % sigma == 0:
-            # The strict window inequalities cannot hold for a multiple of S.
-            return MembershipVerdict(
-                weight, False, tuple(witnesses), ClassFailure(NO_WINDOW_EXISTS, j)
-            )
-        window = mj // sigma + 1
-        table = semigroup.build_apery(prefix)
-        if any(semigroup.is_representable_nonzero(table, mj - mi) for mi in prefix):
-            return MembershipVerdict(
-                weight, False, tuple(witnesses), ClassFailure(OBSTRUCTION_SET_HIT, j)
-            )
-        witnesses.append(window)
-    return MembershipVerdict(weight, True, tuple(witnesses), None)
+def window_index(sigma: int, mj: int) -> int | None:
+    """Index M of the open window ((M-1)*S, M*S) that holds mj, S = sigma.
+
+    None when S divides mj: a multiple of S is the boundary of two windows,
+    so the strict window inequalities cannot hold.
+    """
+    if mj % sigma == 0:
+        return None
+    return mj // sigma + 1
+
+
+class _Prefix:
+    """A prefix (m_1, ..., m_d) with its verdict so far and, on demand, its
+    Apery table: all that the criterion needs to judge an extension.
+
+    A prefix's table is derived from its parent's by one round-robin pass, so
+    a walk over prefixes builds each table once.
+    """
+
+    __slots__ = ("entries", "sigma", "witnesses", "failure", "_parent", "_table")
+
+    def __init__(
+        self,
+        entries: tuple[int, ...],
+        witnesses: tuple[int, ...] = (),
+        failure: ClassFailure | None = None,
+        parent: _Prefix | None = None,
+    ) -> None:
+        self.entries = entries
+        self.sigma = sum(entries)
+        self.witnesses = witnesses
+        self.failure = failure
+        self._parent = parent
+        self._table: semigroup.AperyTable | None = None
+
+    @property
+    def table(self) -> semigroup.AperyTable:
+        if self._table is None:
+            if self._parent is None:
+                self._table = semigroup.cyclic_apery(self.entries[0])
+            else:
+                self._table = semigroup.extend_apery(self._parent.table, self.entries[-1])
+        return self._table
+
+    def judge(self, m: int) -> tuple[tuple[int, ...], ClassFailure | None]:
+        """Witness chain and failure of the prefix extended by m.
+
+        The literal recursive membership conditions.  No gcd condition
+        appears here: prefixes of valid weights may have gcd > 1.
+        """
+        if self.failure is not None:
+            return self.witnesses, self.failure
+        level = len(self.entries) + 1
+        if level == 2:
+            if self.entries[0] < 2:
+                return (), ClassFailure(BASE_CASE_M1, 2)
+            if m % self.entries[0] == 0:
+                return (), ClassFailure(BASE_CASE_DIVISIBILITY, 2)
+            return (), None
+        window = window_index(self.sigma, m)
+        if window is None:
+            return self.witnesses, ClassFailure(NO_WINDOW_EXISTS, level)
+        if semigroup.is_blocked(self.table, self.entries, m):
+            return self.witnesses, ClassFailure(OBSTRUCTION_SET_HIT, level)
+        return (*self.witnesses, window), None
+
+
+def _prefix_state(entries: tuple[int, ...]) -> _Prefix:
+    state = _Prefix(entries[:1])
+    for m in entries[1:]:
+        state = _Prefix((*state.entries, m), *state.judge(m), state)
+    return state
 
 
 def is_in_class(weight) -> MembershipVerdict:
@@ -224,7 +273,8 @@ def is_in_class(weight) -> MembershipVerdict:
     m_j to avoid that window's obstruction set.
     """
     w = _coerce(weight)
-    return _class_verdict(w.m, w)
+    state = _prefix_state(w.m)
+    return MembershipVerdict(w, state.failure is None, state.witnesses, state.failure)
 
 
 def _weighted_sum_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
@@ -256,6 +306,82 @@ def resonances(weight) -> list[ResonanceWitness]:
                 out.append(ResonanceWitness(i, j, k))
     out.sort(key=ResonanceWitness.sort_key)
     return out
+
+
+def extend_ways(ways: list[int], part: int) -> list[int]:
+    """Coin-change counts with one more part allowed.
+
+    ``ways[t]`` counts the multi-indices k >= 0 with sum(parts[r] * k_r) == t
+    over some parts; the result counts them over those parts and ``part``,
+    for the same range of t.  Over the prefix m_1, ..., m_{j-1}, the entry at
+    m_j - m_i is the number of resonance witnesses of the pair (i, j).
+    """
+    out = list(ways)
+    for t in range(part, len(out)):
+        out[t] += out[t - part]
+    return out
+
+
+def scan(
+    n: int, max_weight: int, *, in_class_only: bool = False, resonance_free_only: bool = False
+) -> list[ScanRow]:
+    """Every valid weight of length n with entries <= max_weight, in
+    lexicographic order, with its verdict, resonance count and the
+    obstruction-set size of each level's window.
+
+    One depth-first walk over prefixes: an entry m_j is judged against its
+    prefix alone, so each prefix's verdict, Apery table, coin-change counts
+    and window sizes are made once and shared by all its extensions.  They
+    live only while that prefix is being extended.  Both filters hold for a
+    weight only if they hold for each of its prefixes (a failure is final and
+    the witnesses of a prefix are witnesses of the weight), so they prune
+    whole subtrees.
+    """
+    n, max_weight = operator.index(n), operator.index(max_weight)
+    if n < 2:
+        raise WeightError(f"scan needs n >= 2, got {n}")
+    if max_weight < n:
+        raise WeightError(f"scan needs max >= n, got max {max_weight} with n {n}")
+    rows: list[ScanRow] = []
+    # Deficits m_j - m_i stay below max_weight.
+    unit = [1] + [0] * max_weight
+
+    def walk(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
+        depth = len(prefix.entries)
+        leaf = depth + 1 == n
+        window_sizes: dict[int, int] = {}
+        for m in range(prefix.entries[-1] + 1, max_weight - (n - depth - 1) + 1):
+            m_gcd = math.gcd(gcd, m)
+            if leaf and m_gcd != 1:
+                continue
+            witnesses, failure = prefix.judge(m)
+            if in_class_only and failure is not None:
+                continue
+            count = n_res + sum(ways[m - mi] for mi in prefix.entries)
+            if resonance_free_only and count:
+                continue
+            if depth >= 2:
+                window = window_index(prefix.sigma, m)
+                size = None
+                if window is not None:
+                    size = window_sizes.get(window)
+                    if size is None:
+                        iset = semigroup.obstruction_set_fast(prefix.entries, window, prefix.table)
+                        size = window_sizes[window] = iset.size
+                level_sizes = (*sizes, size)
+            else:
+                level_sizes = sizes
+            if leaf:
+                rows.append(
+                    ScanRow((*prefix.entries, m), witnesses, failure, count, level_sizes)
+                )
+            else:
+                child = _Prefix((*prefix.entries, m), witnesses, failure, prefix)
+                walk(child, m_gcd, extend_ways(ways, m), count, level_sizes)
+
+    for first in range(1, max_weight - n + 2):
+        walk(_Prefix((first,)), first, extend_ways(unit, first), 0, ())
+    return rows
 
 
 def _bounded_multi_indices(length: int, total: int) -> Iterator[tuple[int, ...]]:
@@ -307,10 +433,9 @@ def enumerate_admissible(prefix, M: int, backend: str = "sieve") -> list[int]:
     at 1.  Each returned s is re-checked to extend the prefix into the class.
     """
     pref = _check_prefix(prefix)
-    verdict = _class_verdict(pref, WeightTuple(pref))
-    if not verdict.in_class:
-        assert verdict.failure is not None
-        raise WeightError(f"prefix not in the weight class: {verdict.failure.reason}")
+    state = _prefix_state(pref)
+    if state.failure is not None:
+        raise WeightError(f"prefix not in the weight class: {state.failure.reason}")
     iset = obstruction_set(pref, M, backend)
     lo, hi = iset.interval
     blocked = set(iset.elements)
@@ -319,8 +444,8 @@ def enumerate_admissible(prefix, M: int, backend: str = "sieve") -> list[int]:
     for s in range(max(lo, pref[-1]) + 1, hi):
         if s in blocked or math.gcd(prefix_gcd, s) != 1:
             continue
-        check = is_in_class(validate_weight((*pref, s)))
-        if not check.in_class:
+        validate_weight((*pref, s))
+        if state.judge(s)[1] is not None:
             raise RuntimeError(
                 f"internal check failed: {(*pref, s)} should be in the class"
             )

@@ -8,6 +8,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class WeightError(ValueError):
@@ -118,3 +119,23 @@ class ResonanceWitness:
 
     def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
         return (self.i, self.j, self.k)
+
+
+class ScanRow(NamedTuple):
+    """One weight found by a scan: its membership verdict, its number of
+    resonance witnesses, and the obstruction-set size of each level's window
+    (None where no window exists).
+
+    A named tuple rather than a frozen dataclass because a scan makes tens of
+    thousands of them.
+    """
+
+    weight: tuple[int, ...]
+    witnesses: tuple[int, ...]
+    failure: ClassFailure | None
+    n_resonances: int
+    i_set_sizes: tuple[int | None, ...]
+
+    @property
+    def in_class(self) -> bool:
+        return self.failure is None

@@ -9,8 +9,8 @@ and unbounded.  Either one can serve as the other's oracle.
 
 from __future__ import annotations
 
+import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,28 +71,62 @@ def build_sieve(generators, bound: int) -> RepresentabilityTable:
 
 
 def build_apery(generators) -> AperyTable:
-    """Shortest-path relaxation over residues modulo the smallest generator.
+    """Least representable integer per residue modulo the smallest generator.
 
-    Label-correcting with a FIFO worklist; the smallest generator itself never
-    improves a label because it fixes the residue while growing the value.
+    Starts from the table of the smallest generator alone and adds the others
+    one at a time with :func:`extend_apery`.
     """
     gens = _check_generators(generators)
-    modulus = gens[0]
-    least: list[int | None] = [None] * modulus
-    least[0] = 0
-    queue = deque([0])
-    while queue:
-        c = queue.popleft()
-        base = least[c]
-        assert base is not None
-        for g in gens[1:]:
-            nc = (c + g) % modulus
-            nv = base + g
-            known = least[nc]
-            if known is None or nv < known:
-                least[nc] = nv
-                queue.append(nc)
-    return AperyTable(generators=gens, modulus=modulus, least=tuple(least))
+    table = cyclic_apery(gens[0])
+    for g in gens[1:]:
+        table = extend_apery(table, g)
+    return table
+
+
+def cyclic_apery(m: int) -> AperyTable:
+    """The table of the semigroup generated by m alone: only multiples of m."""
+    return AperyTable(generators=(m,), modulus=m, least=(0,) + (None,) * (m - 1))
+
+
+def extend_apery(table: AperyTable, g: int) -> AperyTable:
+    """The Apery table of ``table.generators`` plus ``g``, derived from ``table``.
+
+    One round-robin pass (Boecker & Liptak, "A fast and simple algorithm for
+    the money changing problem", 2007).  Adding g links residue r to
+    (r + g) mod m, which splits the residues into gcd(m, g) cycles, each the
+    residues of one class modulo gcd(m, g).  Walking a cycle once from its
+    least label relaxes every label in it, so the pass costs O(m).
+    """
+    g = operator.index(g)
+    gens = table.generators
+    if g in gens:
+        return table
+    if g < table.modulus:
+        return build_apery((*gens, g))
+    modulus = table.modulus
+    least = list(table.least)
+    cycles = math.gcd(modulus, g)
+    step = g % modulus
+    for start in range(cycles):
+        if start == 0:
+            r = 0  # label 0 is the least of all
+        else:
+            members = [r for r in range(start, modulus, cycles) if least[r] is not None]
+            if not members:
+                continue
+            r = min(members, key=least.__getitem__)
+        value = least[r]
+        for _ in range(modulus // cycles - 1):
+            r += step
+            if r >= modulus:
+                r -= modulus
+            value += g
+            known = least[r]
+            if known is not None and known < value:
+                value = known
+            else:
+                least[r] = value
+    return AperyTable(generators=tuple(sorted((*gens, g))), modulus=modulus, least=tuple(least))
 
 
 def is_representable(table: RepresentabilityTable | AperyTable, t: int) -> bool:
@@ -115,6 +149,23 @@ def is_representable_nonzero(table: RepresentabilityTable | AperyTable, t: int) 
     representable".
     """
     return t > 0 and is_representable(table, t)
+
+
+def is_blocked(table: AperyTable, prefix: tuple[int, ...], t: int) -> bool:
+    """True iff t is a prefix entry plus a nonzero combination of the
+    generators, the membership test of an obstruction set.
+
+    ``is_representable_nonzero`` inlined for Apery tables: scans run this
+    test on tens of thousands of integers.
+    """
+    least, modulus = table.least, table.modulus
+    for mi in prefix:
+        r = t - mi
+        if r > 0:
+            bound = least[r % modulus]
+            if bound is not None and r >= bound:
+                return True
+    return False
 
 
 def obstruction_set_fast(prefix, M: int, table: RepresentabilityTable | AperyTable) -> ObstructionSet:
@@ -148,9 +199,5 @@ def obstruction_set_fast(prefix, M: int, table: RepresentabilityTable | AperyTab
             blocked |= positive & table.flags[np.clip(shifted, 0, table.bound)]
         elements = tuple(int(t) for t in window_values[blocked])
     else:
-        elements = tuple(
-            t
-            for t in range(lo + 1, hi)
-            if any(is_representable_nonzero(table, t - mi) for mi in pref)
-        )
+        elements = tuple(t for t in range(lo + 1, hi) if is_blocked(table, pref, t))
     return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=elements)

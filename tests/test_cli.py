@@ -6,7 +6,10 @@ from pathlib import Path
 
 import pytest
 
+from qcweights import core
 from qcweights.cli import main
+
+from oracles import valid_weights
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -250,11 +253,46 @@ class TestScanCommand:
         assert lines[1] == "2 3,true,,0,,"
         assert len(lines) == 6
 
-    def test_workers_do_not_change_output(self, capsys):
-        args = ["scan", "--n", "3", "--max", "15", "--filter", "both", "--format", "csv"]
-        _, serial, _ = run_cli(args, capsys)
-        _, parallel, _ = run_cli([*args, "--workers", "4"], capsys)
-        assert serial == parallel
+    def test_rows_match_per_tuple_library_path(self, capsys):
+        # The prefix walk shares work between tuples; its rows must equal
+        # the library's answers for each tuple on its own, under every filter.
+        keep = {
+            "in-class": lambda in_class, n_res: in_class,
+            "resonance-free": lambda in_class, n_res: n_res == 0,
+            "both": lambda in_class, n_res: in_class and n_res == 0,
+            "disagree": lambda in_class, n_res: in_class and n_res > 0,
+        }
+        for n, top in [(2, 12), (3, 22), (4, 12), (5, 11)]:
+            per_tuple = []
+            for m in valid_weights(n, top):
+                verdict = core.is_in_class(m)
+                sizes = []
+                for j in range(3, n + 1):
+                    sigma = sum(m[: j - 1])
+                    if m[j - 1] % sigma == 0:
+                        sizes.append(None)
+                    else:
+                        window = m[j - 1] // sigma + 1
+                        sizes.append(core.obstruction_set(m[: j - 1], window, "brute").size)
+                failure = verdict.failure
+                per_tuple.append({
+                    "weight": list(m),
+                    "in_class": verdict.in_class,
+                    "witnesses": list(verdict.witnesses),
+                    "failure": None if failure is None
+                    else {"reason": failure.reason, "level": failure.level},
+                    "n_resonances": len(core.resonances(m)),
+                    "i_set_sizes": sizes,
+                })
+            for name, wanted in keep.items():
+                code, out, _ = run_cli(
+                    ["scan", "--n", str(n), "--max", str(top), "--filter", name,
+                     "--format", "json"],
+                    capsys,
+                )
+                expected = [r for r in per_tuple if wanted(r["in_class"], r["n_resonances"])]
+                assert code == 0
+                assert parse_json(out)["result"]["rows"] == expected, (n, top, name)
 
     def test_lexicographic_order(self, capsys):
         _, out, _ = run_cli(
@@ -290,10 +328,11 @@ class TestInternalMismatchWiring:
 
     def test_scan_disagreement_exits_two(self, capsys, monkeypatch):
         import qcweights.cli as cli_mod
-        from qcweights.model import ResonanceWitness
 
+        # One witness for every deficit: in-class weights then count as
+        # having resonances.
         monkeypatch.setattr(
-            cli_mod.core, "resonances", lambda m: [ResonanceWitness(1, 2, (1,))]
+            cli_mod.core, "extend_ways", lambda ways, part: [1] * len(ways)
         )
         code, _, err = run_cli(
             ["scan", "--n", "2", "--max", "4", "--filter", "disagree"], capsys

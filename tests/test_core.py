@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
@@ -259,6 +260,20 @@ class TestResonances:
         wits = core.resonances((1, 2, 3, 4))
         keys = [w.sort_key() for w in wits]
         assert keys == sorted(keys)
+
+
+class TestResonanceCounting:
+    @settings(deadline=None, max_examples=60)
+    @given(small_weights(max_n=4, max_entry=30))
+    def test_counts_match_oracle_per_pair(self, m):
+        # The coin-change counts of each prefix give the number of witnesses
+        # of every pair (i, j) without listing them.
+        expected = Counter((i, j) for i, j, _ in oracle_resonances(m))
+        ways = [1] + [0] * (m[-1] - m[0])
+        for j in range(2, len(m) + 1):
+            ways = core.extend_ways(ways, m[j - 2])
+            for i in range(1, j):
+                assert ways[m[j - 1] - m[i - 1]] == expected[(i, j)], (m, i, j)
 
 
 class TestZeroSetEquivalence:

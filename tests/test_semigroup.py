@@ -71,6 +71,24 @@ class TestBuildApery:
         with pytest.raises(ValueError, match="nonempty"):
             semigroup.build_apery(())
 
+    @pytest.mark.parametrize(
+        "gens, g", [((3, 5), 7), ((4, 6), 9), ((4, 6), 10), ((6, 10), 15), ((5, 7), 3), ((5, 7), 7)]
+    )
+    def test_extension_matches_sieve(self, gens, g):
+        # Covers several cycles, a cycle with no reachable class, a cycle
+        # entered away from residue 0, a new smallest generator and a
+        # repeated one.  Every least value lies below modulus * max generator.
+        extended = semigroup.extend_apery(semigroup.build_apery(gens), g)
+        all_gens = tuple(sorted({*gens, g}))
+        modulus = all_gens[0]
+        sieve = semigroup.build_sieve(all_gens, modulus * all_gens[-1])
+        expected = tuple(
+            next((t for t in range(r, sieve.bound + 1, modulus) if sieve.flags[t]), None)
+            for r in range(modulus)
+        )
+        assert extended.generators == all_gens
+        assert extended.least == expected
+
 
 class TestRepresentability:
     def test_reference_queries(self):
