@@ -29,6 +29,7 @@ from qcweights.model import (
     ObstructionSet,
     ScanRow,
     WeightError,
+    window_interval,
 )
 
 FORMAT_ENVVAR = "QCW_FORMAT"
@@ -59,7 +60,8 @@ _backend_option = click.option(
     "--backend",
     type=click.Choice(list(core.BACKENDS)),
     default="sieve",
-    help="Membership backend for set computation.",
+    help="Membership backend for set computation: brute (nested loops), or "
+    "sieve and apery, which share the Apery engine; all return identical sets.",
 )
 
 
@@ -250,8 +252,7 @@ def enumerate_cmd(
     """Enumerate the admissible next weights of one window over a prefix."""
     started = time.perf_counter()
     admissible = core.enumerate_admissible(prefix, window, backend)
-    sigma = sum(prefix)
-    lo, hi = (window - 1) * sigma, window * sigma
+    lo, hi = window_interval(sum(prefix), window)
     result = {
         "prefix": list(prefix),
         "M": window,

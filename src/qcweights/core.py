@@ -26,6 +26,7 @@ from qcweights.model import (
     ScanRow,
     WeightError,
     WeightTuple,
+    window_interval,
 )
 
 BACKENDS = ("brute", "sieve", "apery")
@@ -169,8 +170,12 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
     """Blocked integers of the window ((M-1)*S, M*S) over the prefix, S being
     the prefix sum.
 
-    The three backends (brute nested loops, dynamic-programming sieve, Apery
-    residue table) return identical sets on every input.
+    ``brute`` runs nested loops over the multi-indices.  ``sieve`` and
+    ``apery`` share the Apery engine, one pass over the window against the
+    prefix's Apery table, whose time and memory do not depend on M.  All
+    three return identical sets on every input; the nested loops and the
+    dynamic-programming sieve (``semigroup.build_sieve``) remain as the
+    oracles the tests compare the engine against.
     """
     pref = _check_prefix(prefix)
     M = operator.index(M)
@@ -178,16 +183,11 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
         raise WeightError(f"window index M must be >= 1, got {M}")
     if backend not in BACKENDS:
         raise WeightError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
-    sigma = sum(pref)
-    lo, hi = (M - 1) * sigma, M * sigma
     if backend == "brute":
+        lo, hi = window_interval(sum(pref), M)
         elements = tuple(_brute_window_elements(pref, lo, hi))
         return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=elements)
-    if backend == "sieve":
-        table = semigroup.build_sieve(pref, hi)
-    else:
-        table = semigroup.build_apery(pref)
-    return semigroup.obstruction_set_fast(pref, M, table)
+    return semigroup.obstruction_set_fast(pref, M, semigroup.build_apery(pref))
 
 
 def window_index(sigma: int, mj: int) -> int | None:

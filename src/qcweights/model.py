@@ -57,6 +57,12 @@ class WeightTuple:
         return self.m[:length]
 
 
+def window_interval(sigma: int, M: int) -> tuple[int, int]:
+    """Open bounds ((M-1)*S, M*S) of the window of index M over a prefix with
+    sum S = sigma."""
+    return (M - 1) * sigma, M * sigma
+
+
 @dataclass(frozen=True)
 class ObstructionSet:
     """The blocked integers of one window over a prefix.

@@ -97,6 +97,16 @@ class TestIset:
         _, out, _ = run_cli(["iset", "3", "5", "--M", "1", "--format", "json"], capsys)
         assert parse_json(out)["result"]["elements"] == [6]
 
+    def test_huge_window_index(self, capsys):
+        M = 10**30
+        code, out, _ = run_cli(["iset", "3", "7", "--M", str(M), "--format", "json"], capsys)
+        assert code == 0
+        result = parse_json(out)["result"]
+        assert result["M"] == M
+        assert result["interval"] == [(M - 1) * 10, M * 10]
+        assert result["elements"] == list(range((M - 1) * 10 + 1, M * 10))
+        assert result["size"] == 9
+
     def test_invalid_window_index(self, capsys):
         code, _, err = run_cli(["iset", "3", "5", "--M", "0"], capsys)
         assert code == 1

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -149,6 +150,29 @@ class TestObstructionSet:
         expected = tuple(oracle_window_elements(prefix, window))
         for backend in core.BACKENDS:
             assert core.obstruction_set(prefix, window, backend).elements == expected
+
+    @pytest.mark.parametrize(
+        "prefix, period", [((3, 7), 1), ((4, 6), 2), ((50, 61), 1), ((40, 60, 100), 20)]
+    )
+    def test_huge_window_index(self, prefix, period):
+        # Far beyond every least element of the semigroup, t is blocked iff
+        # the generator gcd divides it.  The windows of (3, 7) and (4, 6) hold
+        # 9 integers; the other two are wide enough for the vectorized pass.
+        iset = core.obstruction_set(prefix, 10**30)
+        lo, hi = iset.interval
+        assert (lo, hi) == ((10**30 - 1) * sum(prefix), 10**30 * sum(prefix))
+        assert iset.elements == tuple(t for t in range(lo + 1, hi) if t % period == 0)
+
+    def test_memory_follows_output_not_window_index(self):
+        # A sieve up to the window top would hold about 10**8 flags.
+        tracemalloc.start()
+        try:
+            iset = core.obstruction_set((3, 7), 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iset.size == 9
+        assert peak < 1 << 20
 
     def test_errors(self):
         with pytest.raises(WeightError, match="M must be >= 1"):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,6 +13,35 @@ from oracles import oracle_representable, oracle_window_elements
 
 def representable_upto(table, bound):
     return [t for t in range(bound + 1) if semigroup.is_representable(table, t)]
+
+
+def sieve_least(gens):
+    """Least element per class modulo the smallest generator, read off a
+    sieve; every least value lies below modulus * max generator."""
+    modulus = gens[0]
+    sieve = semigroup.build_sieve(gens, modulus * gens[-1])
+    return tuple(
+        next((t for t in range(r, sieve.bound + 1, modulus) if sieve.flags[t]), None)
+        for r in range(modulus)
+    )
+
+
+def apery_window(prefix, window, vector_min_width):
+    """The Apery window pass, vectorized from ``vector_min_width`` integers
+    up: 0 forces the numpy pass, None the per-integer test."""
+    if vector_min_width is None:
+        vector_min_width = 1 << 62
+    with mock.patch.object(semigroup, "_VECTOR_MIN_WIDTH", vector_min_width):
+        return semigroup.obstruction_set_fast(prefix, window, semigroup.build_apery(prefix))
+
+
+# Prefixes of one to three entries, two thirds of them scaled by 2 or 3 so
+# that some residue classes are unreachable.
+prefixes = st.builds(
+    lambda entries, factor: tuple(sorted(factor * e for e in entries)),
+    st.sets(st.integers(1, 7), min_size=1, max_size=3),
+    st.integers(1, 3),
+)
 
 
 class TestBuildSieve:
@@ -80,14 +111,28 @@ class TestBuildApery:
         # repeated one.  Every least value lies below modulus * max generator.
         extended = semigroup.extend_apery(semigroup.build_apery(gens), g)
         all_gens = tuple(sorted({*gens, g}))
-        modulus = all_gens[0]
-        sieve = semigroup.build_sieve(all_gens, modulus * all_gens[-1])
-        expected = tuple(
-            next((t for t in range(r, sieve.bound + 1, modulus) if sieve.flags[t]), None)
-            for r in range(modulus)
-        )
         assert extended.generators == all_gens
-        assert extended.least == expected
+        assert extended.least == sieve_least(all_gens)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 40), st.integers(1, 80))
+    def test_first_extension_matches_sieve(self, m, g):
+        # The closed form of a one-generator table, also reached through a
+        # new smallest generator (g < m); g == m repeats the generator.
+        extended = semigroup.extend_apery(semigroup.cyclic_apery(m), g)
+        all_gens = tuple(sorted({m, g}))
+        assert extended.generators == all_gens
+        assert extended.least == sieve_least(all_gens)
+
+    @pytest.mark.parametrize("m, g", [(6, 10**30 + 1), (6, 10**30 + 4), (7, 2**62), (3, 2**61 + 1)])
+    def test_first_extension_beyond_int64(self, m, g):
+        # The least multiple of g in each class, by direct search.
+        expected = [None] * m
+        for k in reversed(range(m)):
+            expected[k * g % m] = k * g
+        extended = semigroup.extend_apery(semigroup.cyclic_apery(m), g)
+        assert extended.least == tuple(expected)
+        assert all(type(v) is int for v in extended.least if v is not None)
 
 
 class TestRepresentability:
@@ -175,3 +220,36 @@ class TestObstructionSetFast:
         apery = semigroup.build_apery((3, 5))
         with pytest.raises(ValueError, match=">= 1"):
             semigroup.obstruction_set_fast((3, 5), 0, apery)
+
+
+class TestAperyWindowPass:
+    """The production window pass against the sieve and the nested-loop
+    oracle, on both sides of the width at which it turns to numpy."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(prefixes, st.integers(1, 3))
+    def test_matches_sieve_and_oracle(self, prefix, window):
+        sieve = semigroup.build_sieve(prefix, window * sum(prefix))
+        expected = semigroup.obstruction_set_fast(prefix, window, sieve)
+        assert list(expected.elements) == oracle_window_elements(prefix, window)
+        assert apery_window(prefix, window, 0) == expected
+        assert apery_window(prefix, window, None) == expected
+
+    @settings(deadline=None, max_examples=40)
+    @given(prefixes, st.data())
+    def test_shifted_window_matches_sieve(self, prefix, data):
+        window = data.draw(st.integers(4, 2 * 10**5 // sum(prefix)))
+        sieve = semigroup.build_sieve(prefix, window * sum(prefix))
+        expected = semigroup.obstruction_set_fast(prefix, window, sieve)
+        assert apery_window(prefix, window, 0) == expected
+        assert apery_window(prefix, window, None) == expected
+
+    @settings(deadline=None, max_examples=40)
+    @given(prefixes, st.integers(0, 10**40))
+    def test_huge_window_paths_agree(self, prefix, window):
+        # No sieve reaches these windows; the per-integer test works on
+        # Python integers and serves as the reference.
+        window += 2**63
+        expected = apery_window(prefix, window, None)
+        assert apery_window(prefix, window, 0) == expected
+        assert expected.interval == ((window - 1) * sum(prefix), window * sum(prefix))
