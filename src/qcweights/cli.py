@@ -2,7 +2,9 @@
 
 Commands mirror the library: classify, iset, resonances, enumerate, count,
 table, scan.  Output is deterministic: human text by default, JSON with
-sorted keys via --format json, CSV for scan rows.  The elapsed-time field
+sorted keys via --format json, CSV for scan rows.  The JSON envelope is
+written by an indent-2 writer here, byte-identical to
+``json.dumps(sort_keys=True, indent=2)``.  The elapsed-time field
 lives only at the top of the JSON envelope, never inside result payloads, so
 payloads are byte-stable across runs.
 
@@ -19,6 +21,7 @@ import io
 import json
 import time
 from collections.abc import Callable
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -85,6 +88,40 @@ def _write(rendered: str, out: str | None) -> None:
             fh.write(rendered)
 
 
+def _render_json(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
+
+    With ``indent`` set, CPython's json falls back to its pure-Python
+    encoder, which makes several generator calls per value.  This writer
+    makes one call per container, renders integer members without a call,
+    and joins flat integer arrays in one step.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = []
+        for key in sorted(value):
+            item = value[key]
+            text = int.__repr__(item) if type(item) is int else _render_json(item, inner)
+            items.append(f"{encode_basestring_ascii(key)}: {text}")
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        # type() rather than isinstance: bools render as true and false.
+        if {*map(type, value)} == {int}:
+            items = map(int.__repr__, value)
+        else:
+            items = [_render_json(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 def _finish(
     command: str,
     input_echo: dict,
@@ -103,7 +140,7 @@ def _finish(
             "result": result,
             "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
-        rendered = json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+        rendered = _render_json(envelope) + "\n"
     else:
         rendered = "\n".join(text_lines()) + "\n"
     _write(rendered, out)
@@ -224,7 +261,7 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
     result = {
         "weight": list(weights),
         "count": len(witnesses),
-        "witnesses": [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses],
+        "witnesses": [{"i": w.i, "j": w.j, "k": w.k} for w in witnesses],
     }
 
     def text() -> list[str]:
@@ -372,7 +409,7 @@ _SCAN_FILTERS = {
 
 
 def _scan_result(row: ScanRow) -> dict:
-    # json renders tuples as arrays; sharing the row's tuples instead of
+    # Tuples render as arrays; sharing the row's tuples instead of
     # copying them into lists keeps tens of thousands of lists off the heap.
     return {
         "weight": row.weight,

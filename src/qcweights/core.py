@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from qcweights import semigroup
 from qcweights.model import (
@@ -30,6 +30,10 @@ from qcweights.model import (
 )
 
 BACKENDS = ("brute", "sieve", "apery")
+
+# The most nested-loop steps the brute backend may take on one window, as
+# bounded before its loops start; ten million steps take a few seconds.
+BRUTE_STEP_LIMIT = 10**7
 
 # Tags for the length-3 linearity criteria.
 BASIC_CRITERION = "basic-criterion"
@@ -140,9 +144,28 @@ def c_exponent(weight, i: int, j: int, k) -> int:
     return (w[i - 1] - w[j - 1]) + sum(mr * kr for mr, kr in zip(w.m, kk))
 
 
+def _brute_steps(prefix: tuple[int, ...], hi: int) -> int:
+    # The loops visit each (k_1, ..., k_r) >= 0 with sum(m_q * k_q) < hi.
+    # Each owns the unit cube above it, which lies in the simplex
+    # sum(m_q * x_q) < hi + m_1 + ... + m_r, so the simplex volume bounds
+    # their number.
+    steps, volume, total = 0, 1, hi
+    for r, g in enumerate(prefix, start=1):
+        volume *= r * g
+        total += g
+        steps += total**r // volume
+    return steps
+
+
 def _brute_window_elements(prefix: tuple[int, ...], lo: int, hi: int) -> list[int]:
     # Nested-loop ground truth: enumerate k with partial sums < hi, which
     # bounds each k_q by hi / m_q.
+    if _brute_steps(prefix, hi) > BRUTE_STEP_LIMIT:
+        raise WeightError(
+            f"the brute backend would take more than BRUTE_STEP_LIMIT = "
+            f"{BRUTE_STEP_LIMIT} steps on this window; the sieve and apery "
+            f"backends answer it exactly"
+        )
     found: set[int] = set()
     length = len(prefix)
 
@@ -277,34 +300,109 @@ def is_in_class(weight) -> MembershipVerdict:
     return MembershipVerdict(w, state.failure is None, state.witnesses, state.failure)
 
 
-def _weighted_sum_solutions(weights: tuple[int, ...], target: int) -> Iterator[tuple[int, ...]]:
-    # All k >= 0 with sum(weights[r] * k[r]) == target, in lexicographic order.
-    if not weights:
-        if target == 0:
-            yield ()
-        return
-    head = weights[0]
-    for k0 in range(target // head + 1):
-        for rest in _weighted_sum_solutions(weights[1:], target - k0 * head):
-            yield (k0, *rest)
+# Suffix tables with more residues than this are not built; membership in
+# such a suffix is tested by its gcd alone, a necessary condition, so the
+# walk may then enter branches that hold no solution.
+_SUFFIX_TABLE_MAX = 1 << 20
+
+
+def _suffix_test(suffix: tuple[int, ...]) -> Callable[[int], bool]:
+    # Membership in the semigroup of three or more generators, from the
+    # suffix's Apery table, or from its gcd past _SUFFIX_TABLE_MAX.
+    if suffix[0] > _SUFFIX_TABLE_MAX:
+        d = math.gcd(*suffix)
+        return lambda t: t % d == 0
+    table = semigroup.build_apery(suffix)
+    least, modulus = table.least, table.modulus
+
+    def test(t: int) -> bool:
+        bound = least[t % modulus]
+        return bound is not None and t >= bound
+
+    return test
+
+
+def _sum_solver(gens: tuple[int, ...]) -> Callable[[int], list[tuple[int, ...]]]:
+    """A function listing, in lexicographic order, every k >= 0 with
+    sum(gens[r] * k[r]) == t.
+
+    Before it descends into a value of k_q, the walk checks that the rest
+    of t lies in the semigroup of gens[q+1:], so every branch it enters
+    holds a solution.  The last two coordinates are solved in closed form:
+    a*k_a + b*k_b = t, d = gcd(a, b), holds exactly for k_a in one residue
+    class modulo b/d, the least of which is (t/d) * (a/d)^-1 mod b/d, and
+    each step of b/d in k_a lowers k_b by a/d.
+    """
+    if len(gens) == 1:
+        (g,) = gens
+
+        def solve_one(t: int) -> list[tuple[int, ...]]:
+            k, rest = divmod(t, g)
+            return [] if rest else [(k,)]
+
+        return solve_one
+
+    a, b = gens[-2:]
+    d = math.gcd(a, b)
+    period = b // d
+    inverse = pow(a // d, -1, period)
+    drop = a // d
+    pair = len(gens) - 2
+
+    def in_pair(t: int) -> bool:
+        return t % d == 0 and t // d * inverse % period * a <= t
+
+    tests = [_suffix_test(gens[q:]) for q in range(pair)] + [in_pair]
+
+    def solve(t: int) -> list[tuple[int, ...]]:
+        out: list[tuple[int, ...]] = []
+
+        def descend(q: int, t: int, head: tuple[int, ...]) -> None:
+            if q == pair:
+                # in_pair(t) holds here, so d divides t and k_b starts >= 0.
+                k_a = t // d * inverse % period
+                k_b = (t - k_a * a) // b
+                while k_b >= 0:
+                    out.append((*head, k_a, k_b))
+                    k_a += period
+                    k_b -= drop
+                return
+            g, inside = gens[q], tests[q + 1]
+            for k in range(t // g + 1):
+                rest = t - k * g
+                if inside(rest):
+                    descend(q + 1, rest, (*head, k))
+
+        if tests[0](t):
+            descend(0, t, ())
+        return out
+
+    return solve
 
 
 def resonances(weight) -> list[ResonanceWitness]:
-    """All triples (i, j, k) with i < j and m_i + sum(m_r * k_r, r < j) = m_j.
+    """All triples (i, j, k) with i < j and m_i + sum(m_r * k_r, r < j) = m_j,
+    sorted by (i, j, k).
 
-    The search is finite because each k_r is bounded by (m_j - m_i) / m_r.
     An empty result certifies that every origin-fixing rotation exponent
     (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.
+
+    Cost: the walk over k enters only branches that hold a witness, so its
+    time follows the number of witnesses listed (and the values of k_q tried
+    in each branch entered), not the size of m_n.  Its memory is one Apery
+    table per suffix of three or more entries of each prefix m_1..m_{j-1},
+    built once per j and shared by every i: O(sum m_q), whatever the
+    targets.  A suffix whose smallest entry exceeds ``_SUFFIX_TABLE_MAX`` is
+    tested by its gcd instead of a table.
     """
     w = _coerce(weight)
     m = w.m
+    solvers = [_sum_solver(m[: j - 1]) for j in range(2, len(m) + 1)]
     out: list[ResonanceWitness] = []
-    for j in range(2, len(m) + 1):
-        for i in range(1, j):
-            deficit = m[j - 1] - m[i - 1]
-            for k in _weighted_sum_solutions(m[: j - 1], deficit):
+    for i in range(1, len(m)):
+        for j in range(i + 1, len(m) + 1):
+            for k in solvers[j - 2](m[j - 1] - m[i - 1]):
                 out.append(ResonanceWitness(i, j, k))
-    out.sort(key=ResonanceWitness.sort_key)
     return out
 
 

@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcweights import core
-from qcweights.cli import main
+from qcweights.cli import _render_json, main
 
 from oracles import valid_weights
 
@@ -116,6 +118,16 @@ class TestIset:
         code, _, err = run_cli(["iset", "3", "5", "--M", "1", "--backend", "magic"], capsys)
         assert code == 1
 
+    def test_brute_step_limit(self, capsys):
+        argv = ["iset", "3", "7", "--M", str(10**30)]
+        code, out, err = run_cli([*argv, "--backend", "brute"], capsys)
+        assert code == 1
+        assert out == ""
+        assert f"BRUTE_STEP_LIMIT = {core.BRUTE_STEP_LIMIT}" in err
+        code, out, _ = run_cli([*argv, "--backend", "apery"], capsys)
+        assert code == 0
+        assert "size: 9" in out
+
 
 class TestResonancesCommand:
     def test_resonance_free_exit_zero(self, capsys):
@@ -138,6 +150,17 @@ class TestResonancesCommand:
             {"i": 1, "j": 3, "k": [0, 1]},
             {"i": 2, "j": 3, "k": [1, 0]},
         ]
+
+    def test_json_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(["resonances", "2", "3", "5", "7", "30", "--format", "json"], capsys)
+        assert code == 3
+        assert strip_elapsed(out) == (GOLDEN / "resonances_json.txt").read_text()
+
+    def test_unreachable_targets_with_huge_last_entry(self, capsys):
+        # Both targets are odd and the prefix (4, 6) has gcd 2.
+        code, out, _ = run_cli(["resonances", "4", "6", "1000000001"], capsys)
+        assert code == 0
+        assert out == "weight: 4 6 1000000001\ncount: 0\n"
 
 
 class TestEnumerateCommand:
@@ -304,6 +327,11 @@ class TestScanCommand:
                 assert code == 0
                 assert parse_json(out)["result"]["rows"] == expected, (n, top, name)
 
+    def test_json_matches_golden_bytes(self, capsys):
+        code, out, _ = run_cli(["scan", "--n", "3", "--max", "12", "--format", "json"], capsys)
+        assert code == 0
+        assert strip_elapsed(out) == (GOLDEN / "scan_json.txt").read_text()
+
     def test_lexicographic_order(self, capsys):
         _, out, _ = run_cli(
             ["scan", "--n", "3", "--max", "10", "--filter", "resonance-free", "--format", "json"],
@@ -389,3 +417,49 @@ class TestOutputPlumbing:
             text=True,
         )
         assert proc.returncode == 3
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**80)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")])
+    | st.text()
+    | st.text(st.characters(max_codepoint=0x3F))
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.lists(st.integers() | st.booleans(), max_size=5)
+        | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(_json_trees)
+    def test_matches_json_dumps(self, tree):
+        assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": ()},
+            [True, 1, False, 0],
+            [2**64, -(2**70)],
+            {"\u00e9\u4e2d": "\x00\x1f\n\t\"\\\u2028\U0001f600"},
+            [None, float("nan"), float("-inf"), -0.0, 1e300],
+            {"z": 1, "a": [[1, 2], [3]], "m": [{"y": True, "x": None}]},
+        ],
+    )
+    def test_edge_cases(self, tree):
+        assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)

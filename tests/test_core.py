@@ -32,6 +32,21 @@ def small_weights(draw, max_n=4, max_entry=30):
     return entries
 
 
+@st.composite
+def resonance_weights(draw, max_n=5, max_entry=40):
+    # Weights whose entries before the last often share a factor, so that
+    # some deficits lie outside the semigroup of their prefix.
+    n = draw(st.integers(2, max_n))
+    factor = draw(st.sampled_from([1, 1, 2, 3]))
+    head = draw(
+        st.sets(st.integers(1, (max_entry - 1) // factor), min_size=n - 1, max_size=n - 1)
+    )
+    head = [factor * x for x in sorted(head)]
+    last = draw(st.integers(head[-1] + 1, max_entry))
+    assume(math.gcd(*head, last) == 1)
+    return (*head, last)
+
+
 class TestValidateWeight:
     def test_accepts_reference_weights(self):
         assert core.validate_weight((3, 5, 7)).m == (3, 5, 7)
@@ -174,6 +189,29 @@ class TestObstructionSet:
         assert iset.size == 9
         assert peak < 1 << 20
 
+    def test_brute_step_bound(self):
+        # The bound counts every node of the nested loops in advance.
+        def nodes(prefix, hi, partial=0):
+            if not prefix:
+                return 0
+            count, total = 0, partial
+            while total < hi:
+                count += 1 + nodes(prefix[1:], hi, total)
+                total += prefix[0]
+            return count
+
+        for prefix in [(3, 7), (1, 2), (2, 3, 5), (4, 6, 9), (5, 6, 7, 8)]:
+            for M in (1, 2, 3, 5):
+                hi = M * sum(prefix)
+                assert nodes(prefix, hi) <= core._brute_steps(prefix, hi), (prefix, M)
+
+    def test_brute_step_limit(self):
+        # Nested loops over this window take several seconds; it is refused
+        # before they start.  The engine answers it at once.
+        with pytest.raises(WeightError, match="BRUTE_STEP_LIMIT"):
+            core.obstruction_set((3, 7), 3000, "brute")
+        assert core.obstruction_set((3, 7), 3000).size == 9
+
     def test_errors(self):
         with pytest.raises(WeightError, match="M must be >= 1"):
             core.obstruction_set((3, 5), 0)
@@ -284,6 +322,48 @@ class TestResonances:
         wits = core.resonances((1, 2, 3, 4))
         keys = [w.sort_key() for w in wits]
         assert keys == sorted(keys)
+
+    @settings(deadline=None, max_examples=80)
+    @given(resonance_weights())
+    def test_matches_oracle(self, m):
+        got = [(w.i, w.j, w.k) for w in core.resonances(m)]
+        assert got == oracle_resonances(m)
+
+    def test_gcd_fallback_matches_oracle(self, monkeypatch):
+        # With no suffix table allowed, a suffix is tested by its gcd alone,
+        # so the walk also enters branches that hold no solution.
+        monkeypatch.setattr(core, "_SUFFIX_TABLE_MAX", 0)
+        for n, top in [(4, 14), (5, 11)]:
+            for m in valid_weights(n, top):
+                got = [(w.i, w.j, w.k) for w in core.resonances(m)]
+                assert got == oracle_resonances(m), m
+
+    def test_no_table_past_the_suffix_limit(self):
+        # Every deficit is below every entry, so there is nothing to list.
+        # A table for the suffix (10**9, 10**9 + 1, 10**9 + 2) would hold
+        # 10**9 residues; past _SUFFIX_TABLE_MAX its gcd is tested instead.
+        m = tuple(10**9 + r for r in range(4))
+        tracemalloc.start()
+        try:
+            found = core.resonances(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == []
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("m", [(4, 6, 10**9 + 1), (6, 8, 10, 10**9 + 1)])
+    def test_unreachable_targets_with_huge_last_entry(self, m):
+        # Every target of the last entry is odd and the prefix has gcd 2, so
+        # there is nothing to list; the cost must not follow the last entry.
+        tracemalloc.start()
+        try:
+            found = core.resonances(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert found == []
+        assert peak < 1 << 20
 
 
 class TestResonanceCounting:
