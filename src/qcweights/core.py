@@ -300,18 +300,8 @@ def is_in_class(weight) -> MembershipVerdict:
     return MembershipVerdict(w, state.failure is None, state.witnesses, state.failure)
 
 
-# Suffix tables with more residues than this are not built; membership in
-# such a suffix is tested by its gcd alone, a necessary condition, so the
-# walk may then enter branches that hold no solution.
-_SUFFIX_TABLE_MAX = 1 << 20
-
-
-def _suffix_test(suffix: tuple[int, ...]) -> Callable[[int], bool]:
-    # Membership in the semigroup of three or more generators, from the
-    # suffix's Apery table, or from its gcd past _SUFFIX_TABLE_MAX.
-    if suffix[0] > _SUFFIX_TABLE_MAX:
-        d = math.gcd(*suffix)
-        return lambda t: t % d == 0
+def _apery_test(suffix: tuple[int, ...]) -> Callable[[int], bool]:
+    # Membership in the semigroup of the suffix, from its Apery table.
     table = semigroup.build_apery(suffix)
     least, modulus = table.least, table.modulus
 
@@ -320,6 +310,41 @@ def _suffix_test(suffix: tuple[int, ...]) -> Callable[[int], bool]:
         return bound is not None and t >= bound
 
     return test
+
+
+def _suffix_test(
+    gens: tuple[int, ...], q: int, tests: list[Callable[[int], bool]]
+) -> Callable[[int], bool]:
+    """Membership in the semigroup of gens[q:], three or more entries.
+
+    t is in it iff t - k*gens[q] passes ``tests[q + 1]`` for some k >= 0,
+    and the test searches those k.  The suffix's Apery table answers in one
+    lookup but holds gens[q] residues, so the searches share a budget of
+    gens[q] steps; a search that would overrun it builds the table instead,
+    puts it in ``tests[q]`` and answers from it.  A suffix that no target
+    reaches, or that is asked little, never gets a table, and no table is
+    built before the searches it replaces have taken as many steps.
+    """
+    g = gens[q]
+    budget = g
+
+    def search(t: int) -> bool:
+        nonlocal budget
+        if tests[q] is search:
+            inside = tests[q + 1]
+            needed = t // g + 1
+            steps = min(needed, budget)
+            for k in range(steps):
+                if inside(t - k * g):
+                    budget -= k + 1
+                    return True
+            budget -= steps
+            if steps == needed:
+                return False
+            tests[q] = _apery_test(gens[q:])
+        return tests[q](t)
+
+    return search
 
 
 def _sum_solver(gens: tuple[int, ...]) -> Callable[[int], list[tuple[int, ...]]]:
@@ -352,7 +377,9 @@ def _sum_solver(gens: tuple[int, ...]) -> Callable[[int], list[tuple[int, ...]]]
     def in_pair(t: int) -> bool:
         return t % d == 0 and t // d * inverse % period * a <= t
 
-    tests = [_suffix_test(gens[q:]) for q in range(pair)] + [in_pair]
+    tests: list[Callable[[int], bool]] = [in_pair] * (pair + 1)
+    for q in range(pair):
+        tests[q] = _suffix_test(gens, q, tests)
 
     def solve(t: int) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
@@ -388,12 +415,14 @@ def resonances(weight) -> list[ResonanceWitness]:
     (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.
 
     Cost: the walk over k enters only branches that hold a witness, so its
-    time follows the number of witnesses listed (and the values of k_q tried
-    in each branch entered), not the size of m_n.  Its memory is one Apery
-    table per suffix of three or more entries of each prefix m_1..m_{j-1},
-    built once per j and shared by every i: O(sum m_q), whatever the
-    targets.  A suffix whose smallest entry exceeds ``_SUFFIX_TABLE_MAX`` is
-    tested by its gcd instead of a table.
+    time follows the number of witnesses listed, times the values of k_q
+    tried in each branch entered and the membership test of each.  A test
+    searches the next suffix until it has taken as many steps as the
+    suffix's Apery table has residues, and is then a lookup in that table.
+    Memory is at most one table per suffix of three or more entries of each
+    prefix m_1..m_{j-1}, built once per j and shared by every i, and no
+    table holds more residues than the steps already spent searching its
+    suffix: a suffix that no target reaches gets none.
     """
     w = _coerce(weight)
     m = w.m

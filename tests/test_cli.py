@@ -162,6 +162,12 @@ class TestResonancesCommand:
         assert code == 0
         assert out == "weight: 4 6 1000000001\ncount: 0\n"
 
+    def test_deficits_below_every_entry(self, capsys):
+        weight = ["1000003", "1000033", "1000037", "1000039"]
+        code, out, _ = run_cli(["resonances", *weight], capsys)
+        assert code == 0
+        assert out == f"weight: {' '.join(weight)}\ncount: 0\n"
+
 
 class TestEnumerateCommand:
     @pytest.mark.parametrize(

@@ -329,27 +329,78 @@ class TestResonances:
         got = [(w.i, w.j, w.k) for w in core.resonances(m)]
         assert got == oracle_resonances(m)
 
-    def test_gcd_fallback_matches_oracle(self, monkeypatch):
-        # With no suffix table allowed, a suffix is tested by its gcd alone,
-        # so the walk also enters branches that hold no solution.
-        monkeypatch.setattr(core, "_SUFFIX_TABLE_MAX", 0)
+    def test_searched_and_tabled_suffixes_match_oracle(self, monkeypatch):
+        # A suffix is searched until its searches have taken as many steps as
+        # its Apery table has residues, and then tabled; both happen here.
+        built = []
+        build_apery = core.semigroup.build_apery
+        monkeypatch.setattr(
+            core.semigroup,
+            "build_apery",
+            lambda gens: built.append(gens) or build_apery(gens),
+        )
+        searched_only = tabled = 0
         for n, top in [(4, 14), (5, 11)]:
             for m in valid_weights(n, top):
+                built.clear()
                 got = [(w.i, w.j, w.k) for w in core.resonances(m)]
                 assert got == oracle_resonances(m), m
+                assert len(built) == len(set(built)), m
+                tabled += bool(built)
+                searched_only += not built
+        assert tabled and searched_only
 
-    def test_no_table_past_the_suffix_limit(self):
-        # Every deficit is below every entry, so there is nothing to list.
-        # A table for the suffix (10**9, 10**9 + 1, 10**9 + 2) would hold
-        # 10**9 residues; past _SUFFIX_TABLE_MAX its gcd is tested instead.
-        m = tuple(10**9 + r for r in range(4))
+    def test_suffix_searches_share_one_table_budget(self, monkeypatch):
+        # The searches of the suffix (20, 22, 24) may take 20 steps in all,
+        # as many as its Apery table has residues; past that the table,
+        # built once, answers.
+        steps, built = [], []
+        build_apery = core.semigroup.build_apery
+        monkeypatch.setattr(
+            core.semigroup, "build_apery", lambda gens: built.append(gens) or build_apery(gens)
+        )
+
+        def in_tail(t):  # membership in <22, 24>
+            steps.append(t)
+            return any((t - 22 * a) % 24 == 0 for a in range(t // 22 + 1))
+
+        tests = [None, in_tail]
+        search = tests[0] = core._suffix_test((20, 22, 24), 0, tests)
+        assert search(64) and search(42) and not search(2)
+        for t in range(21, 100, 2):
+            assert not search(t)
+        assert len(steps) <= 20
+        assert tests[0] is not search
+        members = {20 * a + 22 * b + 24 * c for a in range(5) for b in range(5) for c in range(5)}
+        assert [t for t in range(100) if search(t)] == sorted(t for t in members if t < 100)
+        assert built == [(20, 22, 24)]
+
+    @pytest.mark.parametrize(
+        "m, expected",
+        [
+            # Every deficit is below every entry: nothing to list.
+            ((1000003, 1000033, 1000037, 1000039), []),
+            (tuple(10**9 + r for r in range(4)), []),
+            # The deficits reach the suffix entries, but only twice over.
+            (
+                (10**9, 10**9 + 1, 10**9 + 2, 3 * 10**9 + 4),
+                [(1, 4, (0, 0, 2)), (2, 4, (0, 1, 1)), (3, 4, (0, 2, 0)), (3, 4, (1, 0, 1))],
+            ),
+        ],
+    )
+    def test_no_table_for_large_entries(self, monkeypatch, m, expected):
+        # An Apery table of these suffixes would hold about 10**6 or 10**9
+        # residues; the few search steps the targets need come first.
+        built = []
+        monkeypatch.setattr(core.semigroup, "build_apery", built.append)
         tracemalloc.start()
         try:
-            found = core.resonances(m)
+            found = [(w.i, w.j, w.k) for w in core.resonances(m)]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert found == []
+        assert found == expected
+        assert built == []
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("m", [(4, 6, 10**9 + 1), (6, 8, 10, 10**9 + 1)])
