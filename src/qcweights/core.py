@@ -9,6 +9,7 @@ nested-loop searches are the ground truth the fast paths are tested against.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
@@ -275,7 +276,9 @@ class _Prefix:
         window = window_index(self.sigma, m)
         if window is None:
             return self.witnesses, ClassFailure(NO_WINDOW_EXISTS, level)
-        if semigroup.is_blocked(self.table, self.entries, m):
+        # m exceeds every prefix entry, so it is no minimal generator and is
+        # blocked exactly when it lies in the prefix's semigroup.
+        if semigroup.is_representable(self.table, m):
             return self.witnesses, ClassFailure(OBSTRUCTION_SET_HIT, level)
         return (*self.witnesses, window), None
 
@@ -293,23 +296,13 @@ def is_in_class(weight) -> MembershipVerdict:
     Base case n = 2: m1 >= 2 and m2 not divisible by m1.  Each further level
     j places m_j in its unique open window over the prefix sum S_j (index
     floor(m_j / S_j) + 1; no window exists when S_j divides m_j) and requires
-    m_j to avoid that window's obstruction set.
+    m_j to avoid that window's obstruction set.  As m_j exceeds every prefix
+    entry, level j holds exactly when S_j does not divide m_j and m_j is not
+    in the semigroup <m_1, ..., m_{j-1}>.
     """
     w = _coerce(weight)
     state = _prefix_state(w.m)
     return MembershipVerdict(w, state.failure is None, state.witnesses, state.failure)
-
-
-def _apery_test(suffix: tuple[int, ...]) -> Callable[[int], bool]:
-    # Membership in the semigroup of the suffix, from its Apery table.
-    table = semigroup.build_apery(suffix)
-    least, modulus = table.least, table.modulus
-
-    def test(t: int) -> bool:
-        bound = least[t % modulus]
-        return bound is not None and t >= bound
-
-    return test
 
 
 def _suffix_test(
@@ -341,7 +334,8 @@ def _suffix_test(
             budget -= steps
             if steps == needed:
                 return False
-            tests[q] = _apery_test(gens[q:])
+            table = semigroup.build_apery(gens[q:])
+            tests[q] = functools.partial(semigroup.is_representable, table)
         return tests[q](t)
 
     return search

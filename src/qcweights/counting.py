@@ -101,7 +101,7 @@ def _select_formula(m1: int, m2: int) -> tuple[str | None, int | None]:
     return None, None
 
 
-def closed_form_count(m1: int, m2: int, backend: str = "sieve") -> CountReport:
+def closed_form_count(m1: int, m2: int) -> CountReport:
     """Enumerate the window-2 gap set and compare it with the closed form.
 
     The gap set is the window complement of the obstruction set.  Within the
@@ -109,7 +109,7 @@ def closed_form_count(m1: int, m2: int, backend: str = "sieve") -> CountReport:
     flag signals an internal inconsistency, never a tolerable outcome.
     """
     m1, m2 = _check_pair(m1, m2)
-    iset = core.obstruction_set((m1, m2), 2, backend)
+    iset = core.obstruction_set((m1, m2), 2)
     lo, hi = iset.interval
     blocked = set(iset.elements)
     gap = tuple(t for t in range(lo + 1, hi) if t not in blocked)

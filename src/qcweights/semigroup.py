@@ -1,12 +1,14 @@
 """Exact numerical-semigroup membership: the Apery engine and its oracle.
 
-Both tables answer the same question: is t a nonnegative integer
-combination of the generators?  The Apery table stores, per residue class
-modulo the smallest generator, the least representable integer, which makes
-queries O(1) and unbounded.  Every production window pass runs on it, in
-O(S*n) time and O(m_1 + S) memory for any window index.  The sieve, a
-forward dynamic program over 0..bound, is the independent oracle the tests
-compare the Apery engine against.
+The Apery table stores, per residue class modulo the smallest generator,
+the least representable integer, so :func:`is_representable` answers "is t
+a nonnegative integer combination of the generators?" in O(1) for any t.
+That test is the one membership rule: an obstruction set is the semigroup's
+nonzero elements minus its minimal generators, so every production window
+pass tests it once per integer, in O(m_1 + S) time and memory for any
+window index.  The sieve, a forward dynamic program over 0..bound, is kept
+only as the independent oracle the tests compare the Apery engine against;
+the production functions do not accept it.
 """
 
 from __future__ import annotations
@@ -21,11 +23,13 @@ from qcweights.model import ObstructionSet, window_interval
 
 _INT64_MAX = 2**63 - 1
 
-# Windows narrower than this are tested one integer at a time: each numpy
-# call costs about a microsecond, which the vectorized pass wins back only
-# on wider windows.  A scan computes thousands of windows of a few dozen
-# integers each.
-_VECTOR_MIN_WIDTH = 96
+# Windows narrower than this are tested one integer at a time.  The numpy
+# pass costs about 17 us before its first integer, the per-integer test about
+# 0.2 us an integer; on a 2-core x86 host the per-integer test took 6-8 us at
+# width 22 and 12-17 us at width 78 against 17-27 us for numpy, the two were
+# even at widths 121-136, and numpy won at 186 (20-30 against 26-52 us).  A
+# scan computes thousands of windows of a few dozen integers each.
+_VECTOR_MIN_WIDTH = 120
 
 
 @dataclass(frozen=True)
@@ -163,20 +167,16 @@ def _pair_apery(m: int, g: int) -> AperyTable:
     return AperyTable(generators=(m, g), modulus=m, least=tuple(least))
 
 
-def is_representable(table: RepresentabilityTable | AperyTable, t: int) -> bool:
+def is_representable(table: AperyTable, t: int) -> bool:
     """True iff t is a nonnegative combination of the generators (0 counts)."""
     t = operator.index(t)
     if t < 0:
         return False
-    if isinstance(table, RepresentabilityTable):
-        if t > table.bound:
-            raise ValueError(f"query {t} exceeds sieve bound {table.bound}")
-        return bool(table.flags[t])
     least = table.least[t % table.modulus]
     return least is not None and t >= least
 
 
-def is_representable_nonzero(table: RepresentabilityTable | AperyTable, t: int) -> bool:
+def is_representable_nonzero(table: AperyTable, t: int) -> bool:
     """True iff t is representable with at least one positive coefficient.
 
     Since all generators are positive this is exactly "t > 0 and t is
@@ -185,60 +185,49 @@ def is_representable_nonzero(table: RepresentabilityTable | AperyTable, t: int) 
     return t > 0 and is_representable(table, t)
 
 
-def is_blocked(table: AperyTable, prefix: tuple[int, ...], t: int) -> bool:
-    """True iff t is a prefix entry plus a nonzero combination of the
-    generators, the membership test of an obstruction set.
-
-    ``is_representable_nonzero`` inlined for Apery tables: scans run this
-    test on tens of thousands of integers.
-    """
-    least, modulus = table.least, table.modulus
-    for mi in prefix:
-        r = t - mi
-        if r > 0:
-            bound = least[r % modulus]
-            if bound is not None and r >= bound:
-                return True
-    return False
+def _minimal_generators(table: AperyTable) -> set[int]:
+    """The generators that are not a sum of two nonzero elements."""
+    gens = table.generators
+    return {g for g in gens if not any(is_representable(table, g - h) for h in gens if h < g)}
 
 
-def _blocked_offsets(table: AperyTable, prefix: tuple[int, ...], start: int, width: int) -> np.ndarray:
-    """Offsets o in [0, width) at which start + o is blocked, in one numpy pass.
+def _member_offsets(table: AperyTable, start: int, width: int) -> np.ndarray:
+    """Offsets o in [0, width) at which start + o is representable, in one
+    numpy pass.
 
-    t is blocked iff t - m_i >= nonzero[(t - m_i) mod m_1] for some m_i, where
-    nonzero[r] is the least positive element of class r (it differs from the
-    least element only in class 0, where it is m_1).  The test is compared in
-    offsets, nonzero[r] <= o + (start - m_i), so numpy never sees t itself,
-    which may be of any size.  Once start - m_i reaches ``top``, the largest
-    threshold, every reachable class passes, so it is capped there; an
-    unreachable class gets a threshold that no offset reaches.
+    t is representable iff t >= least[t mod m_1].  The test is compared in
+    offsets, least[r] <= o + start, so numpy never sees t itself, which may
+    be of any size.  Once start reaches ``top``, the largest least value,
+    every reachable class passes, so it is capped there; an unreachable
+    class gets a threshold that no offset reaches.
     """
     modulus = table.modulus
     least = table.least
     if None in least:
         least = [-1 if v is None else v for v in least]
-    nonzero = np.fromiter(least, dtype=np.int64, count=modulus)
-    nonzero[0] = modulus
-    top = int(nonzero.max())
-    nonzero[nonzero < 0] = top + width
-    # The threshold of offset o against m_i is tiled[(start - m_i) mod m_1 + o].
-    tiled = np.resize(nonzero, modulus + width)
-    offsets = np.arange(width, dtype=np.int64)
-    blocked = np.zeros(width, dtype=bool)
-    for mi in prefix:
-        base = start - mi
-        shift = base % modulus
-        blocked |= tiled[shift:shift + width] <= offsets + min(base, top)
-    return np.flatnonzero(blocked)
+    thresholds = np.fromiter(least, dtype=np.int64, count=modulus)
+    top = int(thresholds.max())
+    thresholds[thresholds < 0] = top + width
+    # The threshold of offset o is tiled[start mod m_1 + o].
+    shift = start % modulus
+    tiled = np.resize(thresholds, shift + width)[shift:]
+    base = min(start, top)
+    return np.flatnonzero(tiled <= np.arange(base, base + width, dtype=np.int64))
 
 
-def obstruction_set_fast(prefix, M: int, table: RepresentabilityTable | AperyTable) -> ObstructionSet:
-    """Blocked integers of window M over ``prefix`` via a membership table.
+def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
+    """Blocked integers of window M over ``prefix`` via its Apery table.
 
-    An integer t in the open window is blocked iff t - m_i is representable
-    and positive for some prefix entry m_i.  The table must be built from the
-    prefix entries and, for a sieve, cover the window top M * sum(prefix).
-    An Apery table answers any window in O(S*n) time and O(m_1 + S) memory.
+    An integer t is blocked iff t = m_i + s for a prefix entry m_i and a
+    nonzero element s of the semigroup the prefix generates.  Those t are
+    exactly the semigroup's nonzero elements other than its minimal
+    generators (Rosales & Garcia-Sanchez, "Numerical Semigroups", 2009,
+    ch. 1), so the pass tests membership once per integer.  With S the
+    prefix sum, no prefix entry lies past window 1, since (M-1)*S >= S for
+    M >= 2, so only window 1 has minimal generators to drop, and an integer
+    above every prefix entry is blocked exactly when it is in the semigroup.
+    The table must be built from the prefix entries; any window takes
+    O(m_1 + S) time and memory.
     """
     pref = tuple(operator.index(p) for p in prefix)
     if table.generators != pref:
@@ -249,23 +238,13 @@ def obstruction_set_fast(prefix, M: int, table: RepresentabilityTable | AperyTab
     if M < 1:
         raise ValueError("window index M must be >= 1")
     lo, hi = window_interval(sum(pref), M)
-    if isinstance(table, RepresentabilityTable):
-        if table.bound < hi:
-            raise ValueError(
-                f"sieve bound {table.bound} is smaller than window top {hi}"
-            )
-        # vectorized window pass; million-scale windows stay fast
-        window_values = np.arange(lo + 1, hi, dtype=np.int64)
-        blocked = np.zeros(window_values.shape, dtype=bool)
-        for mi in pref:
-            shifted = window_values - mi
-            positive = shifted > 0
-            blocked |= positive & table.flags[np.clip(shifted, 0, table.bound)]
-        elements = tuple(int(t) for t in window_values[blocked])
-    elif hi - lo - 1 < _VECTOR_MIN_WIDTH:
-        elements = tuple(t for t in range(lo + 1, hi) if is_blocked(table, pref, t))
+    start = lo + 1
+    if hi - start < _VECTOR_MIN_WIDTH:
+        elements = (t for t in range(start, hi) if is_representable(table, t))
     else:
-        start = lo + 1
-        offsets = _blocked_offsets(table, pref, start, hi - start).tolist()
-        elements = tuple(start + o for o in offsets)
-    return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=elements)
+        offsets = _member_offsets(table, start, hi - start).tolist()
+        elements = (start + o for o in offsets)
+    if M == 1:
+        minimal = _minimal_generators(table)
+        elements = (t for t in elements if t not in minimal)
+    return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=tuple(elements))

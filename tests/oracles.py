@@ -3,11 +3,15 @@
 These deliberately use unpruned itertools.product loops over full index
 boxes, a different construction from the recursive enumerators inside the
 package, so each side can catch the other's mistakes.  They are only usable
-at small scale.
+at small scale.  The sieve helpers read a ``semigroup.build_sieve`` table,
+a forward dynamic program that shares no code with the Apery engine, and
+reach the windows the nested loops cannot.
 """
 
 import math
 from itertools import combinations, product
+
+import numpy as np
 
 
 def oracle_representable(generators, t):
@@ -35,6 +39,31 @@ def oracle_window_elements(prefix, window):
             if lo < r < hi:
                 out.add(r)
     return sorted(out)
+
+
+def sieve_contains(sieve, t):
+    """Is t representable, read off a sieve that must cover it?"""
+    if t < 0:
+        return False
+    if t > sieve.bound:
+        raise ValueError(f"query {t} exceeds sieve bound {sieve.bound}")
+    return bool(sieve.flags[t])
+
+
+def sieve_window_elements(sieve, window):
+    """Obstruction set of one window over the sieve's generators, as the
+    integers t with t - m_i positive and representable for some m_i."""
+    prefix = sieve.generators
+    sigma = sum(prefix)
+    lo, hi = (window - 1) * sigma, window * sigma
+    if sieve.bound < hi:
+        raise ValueError(f"sieve bound {sieve.bound} is smaller than window top {hi}")
+    values = np.arange(lo + 1, hi, dtype=np.int64)
+    blocked = np.zeros(values.shape, dtype=bool)
+    for mi in prefix:
+        shifted = values - mi
+        blocked |= (shifted > 0) & sieve.flags[np.clip(shifted, 0, sieve.bound)]
+    return tuple(int(t) for t in values[blocked])
 
 
 def oracle_resonances(m):

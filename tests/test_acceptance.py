@@ -17,7 +17,7 @@ import numpy as np
 from qcweights import core, counting, semigroup
 from qcweights.cli import main
 
-from oracles import oracle_representable
+from oracles import oracle_representable, sieve_contains, sieve_window_elements
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -179,15 +179,16 @@ def test_criterion_09_backend_oracle_equivalence():
             for _ in range(4):
                 q = rng.randint(0, cap)
                 expected = oracle_representable(gens, q)
-                assert semigroup.is_representable(sieve, q) == expected
+                assert sieve_contains(sieve, q) == expected
                 assert semigroup.is_representable(apery, q) == expected
 
             # sieve/apery obstruction sets at every window index up to 3
             sigma = sum(gens)
             window_sieve = semigroup.build_sieve(gens, 3 * sigma)
             for window in (1, 2, 3):
-                fast = semigroup.obstruction_set_fast(gens, window, window_sieve)
-                assert fast == semigroup.obstruction_set_fast(gens, window, apery)
+                fast = semigroup.obstruction_set_fast(gens, window, apery)
+                assert fast.elements == sieve_window_elements(window_sieve, window)
+                assert fast.interval == ((window - 1) * sigma, window * sigma)
 
             # brute backend included wherever nested loops are feasible,
             # shrinking the window index and then the smallest generators

@@ -359,7 +359,7 @@ class TestInternalMismatchWiring:
         import qcweights.cli as cli_mod
         from qcweights.counting import CountReport
 
-        def broken(m1, m2, backend="sieve"):
+        def broken(m1, m2):
             return CountReport(
                 m1=m1, m2=m2, window_size=15, i_set_size=8,
                 gap_set=(17,), formula="d", closed_form=7, matches=False,

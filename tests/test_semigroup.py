@@ -1,3 +1,4 @@
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -6,13 +7,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qcweights import semigroup
-from qcweights.model import ObstructionSet
+from qcweights.model import ObstructionSet, window_interval
 
-from oracles import oracle_representable, oracle_window_elements
+from oracles import (
+    oracle_representable,
+    oracle_window_elements,
+    sieve_contains,
+    sieve_window_elements,
+)
 
 
-def representable_upto(table, bound):
-    return [t for t in range(bound + 1) if semigroup.is_representable(table, t)]
+def representable_upto(sieve, bound):
+    return [t for t in range(bound + 1) if sieve_contains(sieve, t)]
 
 
 def sieve_least(gens):
@@ -33,6 +39,14 @@ def apery_window(prefix, window, vector_min_width):
         vector_min_width = 1 << 62
     with mock.patch.object(semigroup, "_VECTOR_MIN_WIDTH", vector_min_width):
         return semigroup.obstruction_set_fast(prefix, window, semigroup.build_apery(prefix))
+
+
+def sieve_window(prefix, window):
+    """The window as the sieve oracle gives it, sieved up to its top."""
+    sigma = sum(prefix)
+    sieve = semigroup.build_sieve(prefix, window * sigma)
+    elements = sieve_window_elements(sieve, window)
+    return ObstructionSet(prefix, window, window_interval(sigma, window), elements)
 
 
 # Prefixes of one to three entries, two thirds of them scaled by 2 or 3 so
@@ -138,9 +152,7 @@ class TestBuildApery:
 class TestRepresentability:
     def test_reference_queries(self):
         sieve = semigroup.build_sieve((3, 5), 20)
-        assert semigroup.is_representable_nonzero(sieve, 0) is False
-        assert semigroup.is_representable_nonzero(sieve, 8) is True
-        assert semigroup.is_representable_nonzero(sieve, 4) is False
+        assert [sieve_contains(sieve, t) for t in (0, 8, 4)] == [True, True, False]
         apery = semigroup.build_apery((3, 5))
         assert semigroup.is_representable_nonzero(apery, 0) is False
         assert semigroup.is_representable_nonzero(apery, 8) is True
@@ -148,13 +160,11 @@ class TestRepresentability:
 
     def test_negative_queries_are_false(self):
         sieve = semigroup.build_sieve((3, 5), 10)
-        assert semigroup.is_representable(sieve, -1) is False
-        assert semigroup.is_representable_nonzero(sieve, -3) is False
-
-    def test_out_of_bound_sieve_query_raises(self):
-        sieve = semigroup.build_sieve((3, 5), 10)
-        with pytest.raises(ValueError, match="exceeds sieve bound"):
-            semigroup.is_representable(sieve, 11)
+        assert sieve_contains(sieve, -1) is False
+        apery = semigroup.build_apery((3, 5))
+        assert semigroup.is_representable(apery, -1) is False
+        assert semigroup.is_representable(apery, -10) is False
+        assert semigroup.is_representable_nonzero(apery, -3) is False
 
     def test_apery_queries_are_unbounded(self):
         apery = semigroup.build_apery((3, 5))
@@ -171,7 +181,7 @@ class TestRepresentability:
         apery = semigroup.build_apery(gens)
         for t in range(bound + 1):
             expected = oracle_representable(gens, t)
-            assert semigroup.is_representable(sieve, t) == expected
+            assert sieve_contains(sieve, t) == expected
             assert semigroup.is_representable(apery, t) == expected
 
 
@@ -187,7 +197,7 @@ class TestObstructionSetFast:
         sigma = sum(prefix)
         sieve = semigroup.build_sieve(prefix, window * sigma)
         apery = semigroup.build_apery(prefix)
-        assert semigroup.obstruction_set_fast(prefix, window, sieve).elements == expected
+        assert sieve_window_elements(sieve, window) == expected
         assert semigroup.obstruction_set_fast(prefix, window, apery).elements == expected
 
     def test_gap_complement_reference(self):
@@ -199,22 +209,24 @@ class TestObstructionSetFast:
         assert gaps == [13, 16, 18, 23]
 
     def test_matches_oracle(self):
-        for prefix in [(2, 3), (3, 4), (4, 6), (3, 5, 7), (2, 5, 9)]:
-            apery = semigroup.build_apery(prefix)
+        # Every prefix of one to three entries up to 12, on both passes.  The
+        # passes read a window as the semigroup's nonzero elements minus its
+        # minimal generators; in (2, 4) and (3, 6, 9) some entries are not
+        # minimal generators, so window 1 blocks 4 but not 2, and 6 but not 3.
+        prefixes = [c for size in (1, 2, 3) for c in combinations(range(1, 13), size)]
+        assert (2, 4) in prefixes and (3, 6, 9) in prefixes
+        for prefix in prefixes:
             for window in (1, 2, 3):
-                got = semigroup.obstruction_set_fast(prefix, window, apery)
-                assert list(got.elements) == oracle_window_elements(prefix, window)
-                assert isinstance(got, ObstructionSet)
+                expected = oracle_window_elements(prefix, window)
+                for vector_min_width in (0, None):
+                    got = apery_window(prefix, window, vector_min_width)
+                    assert list(got.elements) == expected, (prefix, window, vector_min_width)
+                    assert isinstance(got, ObstructionSet)
 
     def test_mismatched_generators(self):
         table = semigroup.build_apery((3, 5))
         with pytest.raises(ValueError, match="do not match"):
             semigroup.obstruction_set_fast((3, 7), 2, table)
-
-    def test_insufficient_bound(self):
-        sieve = semigroup.build_sieve((3, 5), 10)
-        with pytest.raises(ValueError, match="smaller than window top"):
-            semigroup.obstruction_set_fast((3, 5), 2, sieve)
 
     def test_bad_window_index(self):
         apery = semigroup.build_apery((3, 5))
@@ -229,8 +241,7 @@ class TestAperyWindowPass:
     @settings(deadline=None, max_examples=40)
     @given(prefixes, st.integers(1, 3))
     def test_matches_sieve_and_oracle(self, prefix, window):
-        sieve = semigroup.build_sieve(prefix, window * sum(prefix))
-        expected = semigroup.obstruction_set_fast(prefix, window, sieve)
+        expected = sieve_window(prefix, window)
         assert list(expected.elements) == oracle_window_elements(prefix, window)
         assert apery_window(prefix, window, 0) == expected
         assert apery_window(prefix, window, None) == expected
@@ -239,8 +250,7 @@ class TestAperyWindowPass:
     @given(prefixes, st.data())
     def test_shifted_window_matches_sieve(self, prefix, data):
         window = data.draw(st.integers(4, 2 * 10**5 // sum(prefix)))
-        sieve = semigroup.build_sieve(prefix, window * sum(prefix))
-        expected = semigroup.obstruction_set_fast(prefix, window, sieve)
+        expected = sieve_window(prefix, window)
         assert apery_window(prefix, window, 0) == expected
         assert apery_window(prefix, window, None) == expected
 
