@@ -8,6 +8,14 @@ written by an indent-2 writer here, byte-identical to
 lives only at the top of the JSON envelope, never inside result payloads, so
 payloads are byte-stable across runs.
 
+Output is streamed: every format is an iterable of chunks written to the
+``--out`` file or to stdout as it is made, so no whole document is held.
+The envelope and its result are written key by key.  The two arrays that
+can hold tens of thousands of items, scan rows and resonance witnesses, are
+written one item at a time through a ``%``-template per item shape, made
+once from ``_render_json`` and cached, so an item costs one ``%`` call and
+no intermediate dict.
+
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
 in the class, or resonances found).
@@ -17,10 +25,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import json
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -30,6 +37,7 @@ from qcweights.model import (
     ClassFailure,
     MembershipVerdict,
     ObstructionSet,
+    ResonanceWitness,
     ScanRow,
     WeightError,
     window_interval,
@@ -80,12 +88,15 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write(rendered: str, out: str | None) -> None:
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks, in order, to the ``--out`` file or to stdout."""
     if out is None:
-        click.echo(rendered, nl=False)
+        stream = click.get_text_stream("stdout")
+        stream.writelines(chunks)
+        stream.flush()
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+            fh.writelines(chunks)
 
 
 def _render_json(value, indent: str = "\n") -> str:
@@ -94,7 +105,8 @@ def _render_json(value, indent: str = "\n") -> str:
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
     makes one call per container, renders integer members without a call,
-    and joins flat integer arrays in one step.
+    joins flat integer arrays in one step, and leaves only floats to
+    ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -119,7 +131,71 @@ def _render_json(value, indent: str = "\n") -> str:
         return encode_basestring_ascii(value)
     if type(value) is int:
         return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
     return json.dumps(value)
+
+
+# A slot renders as "\u0000" and so cannot be mistaken for a key or fixed text.
+_SLOT = "\x00"
+_SLOT_JSON = encode_basestring_ascii(_SLOT)
+
+
+def _template(value, indent: str) -> str:
+    """A ``%``-template for ``_render_json(value, indent)``: each ``_SLOT``
+    string in ``value`` becomes a ``%s`` for an already-rendered JSON value."""
+    return _render_json(value, indent).replace("%", "%%").replace(_SLOT_JSON, "%s")
+
+
+class _Templated:
+    """A result array that is written one item at a time.
+
+    ``render(item, indent)`` returns the item's JSON at that indent; the
+    writer joins the items as ``_render_json`` joins an array's.
+    """
+
+    __slots__ = ("items", "render")
+
+    def __init__(self, items, render: Callable[[object, str], str]) -> None:
+        self.items = items
+        self.render = render
+
+
+def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
+    """``_render_json(value, indent)`` in chunks.
+
+    A non-empty dict is written key by key and a ``_Templated`` array item
+    by item; every other value is one ``_render_json`` call.
+    """
+    inner = indent + "  "
+    if type(value) is _Templated:
+        if not value.items:
+            yield "[]"
+            return
+        render = value.render
+        sep = "[" + inner
+        for item in value.items:
+            yield sep + render(item, inner)
+            sep = "," + inner
+        yield indent + "]"
+    elif isinstance(value, dict) and value:
+        sep = "{" + inner
+        for key in sorted(value):
+            yield f"{sep}{encode_basestring_ascii(key)}: "
+            yield from _json_chunks(value[key], inner)
+            sep = "," + inner
+        yield indent + "}"
+    else:
+        yield _render_json(value, indent)
+
+
+def _json_document(envelope: dict) -> Iterator[str]:
+    yield from _json_chunks(envelope)
+    yield "\n"
 
 
 def _finish(
@@ -130,7 +206,7 @@ def _finish(
     fmt: str,
     out: str | None,
     started: float,
-    text_lines: Callable[[], list[str]],
+    text_lines: Callable[[], Iterable[str]],
 ) -> None:
     if fmt == "json":
         envelope = {
@@ -140,10 +216,9 @@ def _finish(
             "result": result,
             "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
         }
-        rendered = _render_json(envelope) + "\n"
+        _write(_json_document(envelope), out)
     else:
-        rendered = "\n".join(text_lines()) + "\n"
-    _write(rendered, out)
+        _write((line + "\n" for line in text_lines()), out)
 
 
 def _failure_result(failure: ClassFailure | None) -> dict | None:
@@ -245,6 +320,15 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
     )
 
 
+@functools.cache
+def _witness_template(k_len: int, indent: str) -> str:
+    return _template({"i": _SLOT, "j": _SLOT, "k": [_SLOT] * k_len}, indent)
+
+
+def _witness_json(w: ResonanceWitness, indent: str) -> str:
+    return _witness_template(len(w.k), indent) % (w.i, w.j, *w.k)
+
+
 @cli.command("resonances")
 @click.argument("weights", nargs=-1, type=int, required=True)
 @_format_option
@@ -261,16 +345,14 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
     result = {
         "weight": list(weights),
         "count": len(witnesses),
-        "witnesses": [{"i": w.i, "j": w.j, "k": w.k} for w in witnesses],
+        "witnesses": _Templated(witnesses, _witness_json),
     }
 
-    def text() -> list[str]:
-        lines = [
-            f"weight: {' '.join(str(x) for x in weights)}",
-            f"count: {len(witnesses)}",
-        ]
-        lines.extend(f"(i={w.i}, j={w.j}, k={_fmt_list(w.k)})" for w in witnesses)
-        return lines
+    def text() -> Iterator[str]:
+        yield f"weight: {' '.join(str(x) for x in weights)}"
+        yield f"count: {len(witnesses)}"
+        for w in witnesses:
+            yield f"(i={w.i}, j={w.j}, k={_fmt_list(w.k)})"
 
     _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
     if witnesses:
@@ -408,21 +490,38 @@ _SCAN_FILTERS = {
 }
 
 
-def _scan_result(row: ScanRow) -> dict:
-    # Tuples render as arrays; sharing the row's tuples instead of
-    # copying them into lists keeps tens of thousands of lists off the heap.
-    return {
-        "weight": row.weight,
-        "in_class": row.in_class,
-        "witnesses": row.witnesses,
-        "failure": _failure_result(row.failure),
-        "n_resonances": row.n_resonances,
-        "i_set_sizes": row.i_set_sizes,
-    }
+@functools.cache
+def _scan_row_template(
+    n_weight: int, n_witnesses: int, n_sizes: int, failed: bool, indent: str
+) -> str:
+    # Keys in sorted order, which is the order of the template's slots.
+    slots = [_SLOT]
+    return _template(
+        {
+            "failure": {"level": _SLOT, "reason": _SLOT} if failed else None,
+            "i_set_sizes": slots * n_sizes,
+            "in_class": not failed,
+            "n_resonances": _SLOT,
+            "weight": slots * n_weight,
+            "witnesses": slots * n_witnesses,
+        },
+        indent,
+    )
 
 
-def _scan_text(rows: list[ScanRow]) -> list[str]:
-    lines = []
+def _scan_row_json(row: ScanRow, indent: str) -> str:
+    failure = row.failure
+    sizes = ["null" if s is None else s for s in row.i_set_sizes]
+    template = _scan_row_template(
+        len(row.weight), len(row.witnesses), len(sizes), failure is not None, indent
+    )
+    values = (*sizes, row.n_resonances, *row.weight, *row.witnesses)
+    if failure is None:
+        return template % values
+    return template % (failure.level, encode_basestring_ascii(failure.reason), *values)
+
+
+def _scan_text(rows: list[ScanRow]) -> Iterator[str]:
     for row in rows:
         parts = [
             " ".join(str(x) for x in row.weight),
@@ -433,18 +532,27 @@ def _scan_text(rows: list[ScanRow]) -> list[str]:
         ]
         if row.failure is not None:
             parts.append(f"failure={row.failure.reason}@{row.failure.level}")
-        lines.append("  ".join(parts))
-    lines.append(f"rows: {len(rows)}")
-    return lines
+        yield "  ".join(parts)
+    yield f"rows: {len(rows)}"
 
 
-def _scan_csv(rows: list[ScanRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"])
+class _Lines:
+    """A file for ``csv.writer`` whose ``write`` hands the line back, so
+    ``writerow`` returns each formatted line as a chunk."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def _scan_csv(rows: list[ScanRow]) -> Iterator[str]:
+    writer = csv.writer(_Lines, lineterminator="\n")
+    yield writer.writerow(
+        ["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"]
+    )
     for row in rows:
         failure = row.failure
-        writer.writerow(
+        yield writer.writerow(
             [
                 " ".join(str(x) for x in row.weight),
                 _fmt_bool(row.in_class),
@@ -454,7 +562,6 @@ def _scan_csv(rows: list[ScanRow]) -> str:
                 "" if failure is None else f"{failure.reason}@{failure.level}",
             ]
         )
-    return buf.getvalue()
 
 
 @cli.command()
@@ -496,7 +603,7 @@ def scan(
     if fmt == "csv":
         _write(_scan_csv(rows), out)
     else:
-        result = {"rows": [_scan_result(row) for row in rows], "count": len(rows)}
+        result = {"rows": _Templated(rows, _scan_row_json), "count": len(rows)}
         _finish("scan", input_echo, result, "apery", fmt, out, started, lambda: _scan_text(rows))
     if row_filter == "disagree" and rows:
         click.echo(

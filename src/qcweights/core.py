@@ -36,6 +36,12 @@ BACKENDS = ("brute", "sieve", "apery")
 # bounded before its loops start; ten million steps take a few seconds.
 BRUTE_STEP_LIMIT = 10**7
 
+# The most pair tests zero_set_equivalence_check may make, counted before its
+# loop starts: C(n + d, n) multi-indices times n(n - 1)/2 pairs.  A pair test
+# costs 0.4-0.7 us, so ten million take a few seconds; criterion 10 (n <= 5,
+# d = 12) makes about 62,000.
+ZERO_SET_STEP_LIMIT = 10**7
+
 # Tags for the length-3 linearity criteria.
 BASIC_CRITERION = "basic-criterion"
 PRIME_PAIR = "prime-pair"
@@ -520,7 +526,9 @@ def zero_set_equivalence_check(weight, degree_bound: int) -> bool:
 
     Over all full-length k with sum(k) <= degree_bound and all pairs i < j,
     the zero set of the rotation exponent must equal the resonance witnesses
-    embedded into full length by appending zero components.
+    embedded into full length by appending zero components.  Raises
+    WeightError, before any work, when that takes more than
+    ZERO_SET_STEP_LIMIT pair tests.
     """
     w = _coerce(weight)
     degree_bound = operator.index(degree_bound)
@@ -528,6 +536,12 @@ def zero_set_equivalence_check(weight, degree_bound: int) -> bool:
         raise WeightError("degree bound must be >= 0")
     m = w.m
     n = len(m)
+    steps = math.comb(n + degree_bound, n) * (n * (n - 1) // 2)
+    if steps > ZERO_SET_STEP_LIMIT:
+        raise WeightError(
+            f"the zero-set check would make {steps} pair tests, more than "
+            f"ZERO_SET_STEP_LIMIT = {ZERO_SET_STEP_LIMIT}; lower the degree bound"
+        )
 
     expected: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     for wit in resonances(w):

@@ -2,6 +2,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcweights import core
-from qcweights.cli import _render_json, main
+from qcweights.cli import (
+    _json_chunks,
+    _render_json,
+    _scan_row_json,
+    _Templated,
+    _witness_json,
+    main,
+)
+from qcweights.model import FAILURE_REASONS, ClassFailure, ResonanceWitness, ScanRow
 
 from oracles import valid_weights
 
@@ -425,6 +434,75 @@ class TestOutputPlumbing:
         assert proc.returncode == 3
 
 
+class TestOutputSinks:
+    # Every format streams through one writer, to stdout or to --out.
+
+    @pytest.mark.parametrize(
+        "argv, golden",
+        [
+            (["scan", "--n", "3", "--max", "12"], "scan_json.txt"),
+            (["resonances", "2", "3", "5", "7", "30"], "resonances_json.txt"),
+        ],
+    )
+    def test_golden_through_out_file(self, capsys, tmp_path, argv, golden):
+        target = tmp_path / "out.json"
+        code, out, _ = run_cli([*argv, "--format", "json", "--out", str(target)], capsys)
+        assert code in (0, 3)
+        assert out == ""
+        assert strip_elapsed(target.read_bytes().decode()) == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        # resonance-free rows include failed ones.
+        [
+            ["scan", "--n", "3", "--max", "12", "--filter", "resonance-free", "--format", fmt]
+            for fmt in ("text", "json", "csv")
+        ]
+        + [["resonances", "2", "3", "5", "7", "30", "--format", fmt] for fmt in ("text", "json")],
+    )
+    def test_stdout_equals_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out"
+        code, out, _ = run_cli(argv, capsys)
+        file_code, file_out, _ = run_cli([*argv, "--out", str(target)], capsys)
+        assert code == file_code
+        assert file_out == ""
+        assert strip_elapsed(target.read_bytes().decode()) == strip_elapsed(out)
+        assert out.count("\n") > 20
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOutputMemory:
+    # Rendering streams, so writing the answer costs little beyond computing it.
+
+    @pytest.mark.parametrize(
+        "argv, compute",
+        [
+            (
+                ["resonances", "2", "3", "5", "7", "120"],
+                lambda: core.resonances(core.validate_weight((2, 3, 5, 7, 120))),
+            ),
+            (
+                ["scan", "--n", "3", "--max", "40"],
+                lambda: core.scan(3, 40, in_class_only=True),
+            ),
+        ],
+    )
+    def test_json_peak_follows_the_answer(self, tmp_path, argv, compute):
+        target = tmp_path / "out.json"
+        answer = _traced_peak(compute)
+        rendered = _traced_peak(lambda: main([*argv, "--format", "json", "--out", str(target)]))
+        assert target.stat().st_size > 500_000
+        assert rendered <= 1.5 * answer, (rendered, answer)
+
+
 _json_leaves = (
     st.none()
     | st.booleans()
@@ -469,3 +547,71 @@ class TestJsonWriter:
     )
     def test_edge_cases(self, tree):
         assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+
+_ints = st.integers() | st.integers(min_value=2**63, max_value=2**80)
+_failures = st.none() | st.builds(ClassFailure, st.sampled_from(FAILURE_REASONS), _ints)
+_scan_rows = st.builds(
+    ScanRow,
+    weight=st.lists(_ints, max_size=6).map(tuple),
+    witnesses=st.lists(_ints, max_size=4).map(tuple),
+    failure=_failures,
+    n_resonances=_ints,
+    i_set_sizes=st.lists(st.none() | _ints, max_size=4).map(tuple),
+)
+_resonance_witnesses = st.builds(
+    ResonanceWitness, i=_ints, j=_ints, k=st.lists(_ints, min_size=1, max_size=6).map(tuple)
+)
+
+
+def _scan_row_dict(row: ScanRow) -> dict:
+    # The reference: a row as a plain dict, for json.dumps.
+    failure = row.failure
+    return {
+        "weight": list(row.weight),
+        "in_class": row.in_class,
+        "witnesses": list(row.witnesses),
+        "failure": None if failure is None
+        else {"reason": failure.reason, "level": failure.level},
+        "n_resonances": row.n_resonances,
+        "i_set_sizes": list(row.i_set_sizes),
+    }
+
+
+def _streamed(key, items, render) -> str:
+    # The array sits where the envelope puts it: result -> key -> items.
+    return "".join(_json_chunks({"result": {key: _Templated(items, render)}}))
+
+
+def _dumped(key, items) -> str:
+    return json.dumps({"result": {key: items}}, sort_keys=True, indent=2)
+
+
+class TestRowTemplates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_scan_rows, max_size=4))
+    def test_scan_rows_match_json_dumps(self, rows):
+        expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
+        assert _streamed("rows", rows, _scan_row_json) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_resonance_witnesses, max_size=4))
+    def test_witnesses_match_json_dumps(self, witnesses):
+        expected = _dumped("witnesses", [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses])
+        assert _streamed("witnesses", witnesses, _witness_json) == expected
+
+    @pytest.mark.parametrize("reason", [None, *FAILURE_REASONS])
+    def test_every_failure_reason(self, reason):
+        failure = None if reason is None else ClassFailure(reason, 2**63)
+        rows = [
+            ScanRow((3, 2**64, 11), (), failure, 0, (None, 2**63)),
+            ScanRow((3, 7), (1,), None, 2**70, ()),
+        ]
+        expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
+        assert _streamed("rows", rows, _scan_row_json) == expected
+
+    @pytest.mark.parametrize("k_len", range(1, 7))
+    def test_every_witness_length(self, k_len):
+        witnesses = [ResonanceWitness(1, k_len + 1, tuple(range(2**63, 2**63 + k_len)))]
+        expected = _dumped("witnesses", [{"i": 1, "j": k_len + 1, "k": list(witnesses[0].k)}])
+        assert _streamed("witnesses", witnesses, _witness_json) == expected

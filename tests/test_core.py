@@ -469,6 +469,21 @@ class TestZeroSetEquivalence:
         with pytest.raises(WeightError, match=">= 0"):
             core.zero_set_equivalence_check((2, 3), -1)
 
+    def test_step_limit(self, monkeypatch):
+        # C(3 + 4, 3) = 35 multi-indices times 3 pairs is 105 pair tests.
+        monkeypatch.setattr(core, "ZERO_SET_STEP_LIMIT", 105)
+        assert core.zero_set_equivalence_check((2, 3, 5), 4) is True
+        monkeypatch.setattr(core, "ZERO_SET_STEP_LIMIT", 104)
+        with pytest.raises(WeightError, match="ZERO_SET_STEP_LIMIT = 104"):
+            core.zero_set_equivalence_check((2, 3, 5), 4)
+
+    def test_refused_just_past_the_limit(self):
+        # n = 5: C(5 + 38, 5) * 10 = 9,625,980 pair tests fit under 10**7,
+        # C(5 + 39, 5) * 10 = 10,860,080 do not.
+        assert core.ZERO_SET_STEP_LIMIT == 10**7
+        with pytest.raises(WeightError, match=f"ZERO_SET_STEP_LIMIT = {10**7}"):
+            core.zero_set_equivalence_check((3, 5, 7, 11, 13), 39)
+
 
 class TestEnumerateAdmissible:
     @pytest.mark.parametrize(
