@@ -201,8 +201,9 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
     the prefix sum.
 
     ``brute`` runs nested loops over the multi-indices.  ``sieve`` and
-    ``apery`` share the Apery engine, one pass over the window against the
-    prefix's Apery table, whose time and memory do not depend on M.  All
+    ``apery`` share the Apery engine, which reads each residue class's
+    arithmetic progression inside the window off the prefix's Apery table,
+    in time and memory that follow the prefix and the output, not M.  All
     three return identical sets on every input; the nested loops and the
     dynamic-programming sieve (``semigroup.build_sieve``) remain as the
     oracles the tests compare the engine against.
@@ -572,12 +573,10 @@ def enumerate_admissible(prefix, M: int, backend: str = "sieve") -> list[int]:
     if state.failure is not None:
         raise WeightError(f"prefix not in the weight class: {state.failure.reason}")
     iset = obstruction_set(pref, M, backend)
-    lo, hi = iset.interval
-    blocked = set(iset.elements)
     prefix_gcd = math.gcd(*pref)
     out: list[int] = []
-    for s in range(max(lo, pref[-1]) + 1, hi):
-        if s in blocked or math.gcd(prefix_gcd, s) != 1:
+    for s in iset.gaps():
+        if s <= pref[-1] or math.gcd(prefix_gcd, s) != 1:
             continue
         validate_weight((*pref, s))
         if state.judge(s)[1] is not None:

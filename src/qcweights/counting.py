@@ -111,8 +111,7 @@ def closed_form_count(m1: int, m2: int) -> CountReport:
     m1, m2 = _check_pair(m1, m2)
     iset = core.obstruction_set((m1, m2), 2)
     lo, hi = iset.interval
-    blocked = set(iset.elements)
-    gap = tuple(t for t in range(lo + 1, hi) if t not in blocked)
+    gap = iset.gaps()
     window_size = hi - lo - 1
     if len(gap) + len(iset.elements) != window_size:
         raise RuntimeError("window census inconsistent with obstruction set")

@@ -84,6 +84,16 @@ class ObstructionSet:
     def __contains__(self, value: int) -> bool:
         return value in self.elements
 
+    def gaps(self) -> tuple[int, ...]:
+        """The window's integers outside the set, ascending: the ranges
+        between consecutive elements."""
+        prev, hi = self.interval
+        out: list[int] = []
+        for t in (*self.elements, hi):
+            out.extend(range(prev + 1, t))
+            prev = t
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class ClassFailure:

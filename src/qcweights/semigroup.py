@@ -3,12 +3,14 @@
 The Apery table stores, per residue class modulo the smallest generator,
 the least representable integer, so :func:`is_representable` answers "is t
 a nonnegative integer combination of the generators?" in O(1) for any t.
-That test is the one membership rule: an obstruction set is the semigroup's
-nonzero elements minus its minimal generators, so every production window
-pass tests it once per integer, in O(m_1 + S) time and memory for any
-window index.  The sieve, a forward dynamic program over 0..bound, is kept
-only as the independent oracle the tests compare the Apery engine against;
-the production functions do not accept it.
+A class holds exactly its least value and every larger integer of the class,
+one arithmetic progression of step m_1.  An obstruction set is the
+semigroup's nonzero elements minus its minimal generators, so the window
+pass reads each class's progression tail inside the window, in
+O(m_1 + output) time and memory for any window index.  The sieve, a forward
+dynamic program over 0..bound, is kept only as the independent oracle the
+tests compare the Apery engine against; the production functions do not
+accept it.
 """
 
 from __future__ import annotations
@@ -22,15 +24,6 @@ import numpy as np
 from qcweights.model import ObstructionSet, window_interval
 
 _INT64_MAX = 2**63 - 1
-
-# Windows narrower than this are tested one integer at a time.  The numpy
-# pass costs about 17 us before its first integer, the per-integer test about
-# 0.2 us an integer; on a 2-core x86 host the per-integer test took 6-8 us at
-# width 22 and 12-17 us at width 78 against 17-27 us for numpy, the two were
-# even at widths 121-136, and numpy won at 186 (20-30 against 26-52 us).  A
-# scan computes thousands of windows of a few dozen integers each.
-_VECTOR_MIN_WIDTH = 120
-
 
 @dataclass(frozen=True)
 class RepresentabilityTable:
@@ -191,30 +184,6 @@ def _minimal_generators(table: AperyTable) -> set[int]:
     return {g for g in gens if not any(is_representable(table, g - h) for h in gens if h < g)}
 
 
-def _member_offsets(table: AperyTable, start: int, width: int) -> np.ndarray:
-    """Offsets o in [0, width) at which start + o is representable, in one
-    numpy pass.
-
-    t is representable iff t >= least[t mod m_1].  The test is compared in
-    offsets, least[r] <= o + start, so numpy never sees t itself, which may
-    be of any size.  Once start reaches ``top``, the largest least value,
-    every reachable class passes, so it is capped there; an unreachable
-    class gets a threshold that no offset reaches.
-    """
-    modulus = table.modulus
-    least = table.least
-    if None in least:
-        least = [-1 if v is None else v for v in least]
-    thresholds = np.fromiter(least, dtype=np.int64, count=modulus)
-    top = int(thresholds.max())
-    thresholds[thresholds < 0] = top + width
-    # The threshold of offset o is tiled[start mod m_1 + o].
-    shift = start % modulus
-    tiled = np.resize(thresholds, shift + width)[shift:]
-    base = min(start, top)
-    return np.flatnonzero(tiled <= np.arange(base, base + width, dtype=np.int64))
-
-
 def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
     """Blocked integers of window M over ``prefix`` via its Apery table.
 
@@ -222,12 +191,13 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
     nonzero element s of the semigroup the prefix generates.  Those t are
     exactly the semigroup's nonzero elements other than its minimal
     generators (Rosales & Garcia-Sanchez, "Numerical Semigroups", 2009,
-    ch. 1), so the pass tests membership once per integer.  With S the
-    prefix sum, no prefix entry lies past window 1, since (M-1)*S >= S for
-    M >= 2, so only window 1 has minimal generators to drop, and an integer
-    above every prefix entry is blocked exactly when it is in the semigroup.
+    ch. 1).  With S the prefix sum, no prefix entry lies past window 1, since
+    (M-1)*S >= S for M >= 2, so only window 1 has minimal generators to drop.
+    The semigroup's elements in class r modulo m_1 are least[r], least[r] +
+    m_1, ..., so the pass extends the result with each reachable class's
+    progression from its first value inside the window and sorts it once.
     The table must be built from the prefix entries; any window takes
-    O(m_1 + S) time and memory.
+    O(m_1 + output) time and memory.
     """
     pref = tuple(operator.index(p) for p in prefix)
     if table.generators != pref:
@@ -239,12 +209,15 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
         raise ValueError("window index M must be >= 1")
     lo, hi = window_interval(sum(pref), M)
     start = lo + 1
-    if hi - start < _VECTOR_MIN_WIDTH:
-        elements = (t for t in range(start, hi) if is_representable(table, t))
-    else:
-        offsets = _member_offsets(table, start, hi - start).tolist()
-        elements = (start + o for o in offsets)
+    step = table.modulus
+    elements: list[int] = []
+    for least in table.least:
+        if least is None or least >= hi:
+            continue
+        first = least if least >= start else start + (least - start) % step
+        elements.extend(range(first, hi, step))
+    elements.sort()
     if M == 1:
         minimal = _minimal_generators(table)
-        elements = (t for t in elements if t not in minimal)
+        elements = [t for t in elements if t not in minimal]
     return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=tuple(elements))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qcweights import core
+from qcweights import core, semigroup
 from qcweights.model import (
     BASE_CASE_DIVISIBILITY,
     BASE_CASE_M1,
@@ -20,6 +20,7 @@ from oracles import (
     oracle_in_class,
     oracle_resonances,
     oracle_window_elements,
+    sieve_window_elements,
     valid_weights,
 )
 
@@ -172,11 +173,26 @@ class TestObstructionSet:
     def test_huge_window_index(self, prefix, period):
         # Far beyond every least element of the semigroup, t is blocked iff
         # the generator gcd divides it.  The windows of (3, 7) and (4, 6) hold
-        # 9 integers; the other two are wide enough for the vectorized pass.
+        # 9 integers, those of (50, 61) and (40, 60, 100) 110 and 199.
         iset = core.obstruction_set(prefix, 10**30)
         lo, hi = iset.interval
         assert (lo, hi) == ((10**30 - 1) * sum(prefix), 10**30 * sum(prefix))
         assert iset.elements == tuple(t for t in range(lo + 1, hi) if t % period == 0)
+
+    def test_wide_window_matches_sieve(self):
+        # A window of 398,087 integers, seven of them blocked, over 199,039
+        # residue classes, checked against the sieve.
+        prefix = (199039, 199049)
+        sieve = semigroup.build_sieve(prefix, 2 * sum(prefix))
+        assert core.obstruction_set(prefix, 2).elements == sieve_window_elements(sieve, 2)
+
+    def test_dense_window_past_every_least_value(self):
+        # The Frobenius number of (1000, 1001) is 998,999, far below this
+        # window, so every integer in it is blocked.
+        iset = core.obstruction_set((1000, 1001), 10**4)
+        lo, hi = iset.interval
+        assert iset.elements == tuple(range(lo + 1, hi))
+        assert iset.gaps() == ()
 
     def test_memory_follows_output_not_window_index(self):
         # A sieve up to the window top would hold about 10**8 flags.

@@ -1,9 +1,9 @@
+import tracemalloc
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcweights import semigroup
@@ -32,13 +32,9 @@ def sieve_least(gens):
     )
 
 
-def apery_window(prefix, window, vector_min_width):
-    """The Apery window pass, vectorized from ``vector_min_width`` integers
-    up: 0 forces the numpy pass, None the per-integer test."""
-    if vector_min_width is None:
-        vector_min_width = 1 << 62
-    with mock.patch.object(semigroup, "_VECTOR_MIN_WIDTH", vector_min_width):
-        return semigroup.obstruction_set_fast(prefix, window, semigroup.build_apery(prefix))
+def apery_window(prefix, window):
+    """The Apery window pass over a freshly built table."""
+    return semigroup.obstruction_set_fast(prefix, window, semigroup.build_apery(prefix))
 
 
 def sieve_window(prefix, window):
@@ -205,23 +201,34 @@ class TestObstructionSetFast:
         apery = semigroup.build_apery((5, 7))
         iset = semigroup.obstruction_set_fast((5, 7), 2, apery)
         assert iset.size == 7
-        gaps = [t for t in range(13, 24) if t not in iset.elements]
-        assert gaps == [13, 16, 18, 23]
+        assert iset.gaps() == (13, 16, 18, 23)
 
     def test_matches_oracle(self):
-        # Every prefix of one to three entries up to 12, on both passes.  The
-        # passes read a window as the semigroup's nonzero elements minus its
-        # minimal generators; in (2, 4) and (3, 6, 9) some entries are not
-        # minimal generators, so window 1 blocks 4 but not 2, and 6 but not 3.
+        # Every prefix of one to three entries up to 12.  The pass reads a
+        # window as the semigroup's nonzero elements minus its minimal
+        # generators; in (2, 4) and (3, 6, 9) some entries are not minimal
+        # generators, so window 1 blocks 4 but not 2, and 6 but not 3.
         prefixes = [c for size in (1, 2, 3) for c in combinations(range(1, 13), size)]
         assert (2, 4) in prefixes and (3, 6, 9) in prefixes
         for prefix in prefixes:
             for window in (1, 2, 3):
-                expected = oracle_window_elements(prefix, window)
-                for vector_min_width in (0, None):
-                    got = apery_window(prefix, window, vector_min_width)
-                    assert list(got.elements) == expected, (prefix, window, vector_min_width)
-                    assert isinstance(got, ObstructionSet)
+                got = apery_window(prefix, window)
+                assert list(got.elements) == oracle_window_elements(prefix, window), (prefix, window)
+                assert isinstance(got, ObstructionSet)
+
+    def test_wide_sparse_window_memory(self):
+        # 199,039 residue classes, of which only a few reach below the window
+        # top; the pass allocates for those alone.
+        prefix = (199039, 199049)
+        table = semigroup.build_apery(prefix)
+        tracemalloc.start()
+        try:
+            iset = semigroup.obstruction_set_fast(prefix, 2, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iset.elements == (398098, 597117, 597127, 597137, 597147, 796156, 796166)
+        assert peak < 64 << 10
 
     def test_mismatched_generators(self):
         table = semigroup.build_apery((3, 5))
@@ -236,30 +243,44 @@ class TestObstructionSetFast:
 
 class TestAperyWindowPass:
     """The production window pass against the sieve and the nested-loop
-    oracle, on both sides of the width at which it turns to numpy."""
+    oracle."""
 
     @settings(deadline=None, max_examples=40)
     @given(prefixes, st.integers(1, 3))
     def test_matches_sieve_and_oracle(self, prefix, window):
         expected = sieve_window(prefix, window)
         assert list(expected.elements) == oracle_window_elements(prefix, window)
-        assert apery_window(prefix, window, 0) == expected
-        assert apery_window(prefix, window, None) == expected
+        assert apery_window(prefix, window) == expected
 
     @settings(deadline=None, max_examples=40)
     @given(prefixes, st.data())
     def test_shifted_window_matches_sieve(self, prefix, data):
         window = data.draw(st.integers(4, 2 * 10**5 // sum(prefix)))
         expected = sieve_window(prefix, window)
-        assert apery_window(prefix, window, 0) == expected
-        assert apery_window(prefix, window, None) == expected
+        assert apery_window(prefix, window) == expected
 
     @settings(deadline=None, max_examples=40)
     @given(prefixes, st.integers(0, 10**40))
     def test_huge_window_paths_agree(self, prefix, window):
-        # No sieve reaches these windows; the per-integer test works on
-        # Python integers and serves as the reference.
+        # No sieve reaches these windows; the per-integer membership test
+        # works on Python integers and serves as the reference.
         window += 2**63
-        expected = apery_window(prefix, window, None)
-        assert apery_window(prefix, window, 0) == expected
-        assert expected.interval == ((window - 1) * sum(prefix), window * sum(prefix))
+        table = semigroup.build_apery(prefix)
+        got = semigroup.obstruction_set_fast(prefix, window, table)
+        lo, hi = got.interval
+        assert (lo, hi) == ((window - 1) * sum(prefix), window * sum(prefix))
+        assert list(got.elements) == [
+            t for t in range(lo + 1, hi) if semigroup.is_representable(table, t)
+        ]
+
+    @settings(deadline=None, max_examples=60)
+    @given(prefixes, st.one_of(st.integers(1, 3), st.integers(2**63, 10**40)))
+    @example((2, 4), 1)
+    @example((3, 6, 9), 1)
+    def test_gaps_complement_elements(self, prefix, window):
+        iset = apery_window(prefix, window)
+        gaps = iset.gaps()
+        lo, hi = iset.interval
+        assert list(gaps) == sorted(set(gaps))
+        assert set(gaps).isdisjoint(iset.elements)
+        assert sorted(gaps + iset.elements) == list(range(lo + 1, hi))
