@@ -165,11 +165,17 @@ class _Templated:
         self.render = render
 
 
+# A flat integer array is written this many items per chunk, so a gap set of
+# hundreds of thousands of integers is never held as one string.
+_INT_CHUNK = 4096
+
+
 def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     """``_render_json(value, indent)`` in chunks.
 
-    A non-empty dict is written key by key and a ``_Templated`` array item
-    by item; every other value is one ``_render_json`` call.
+    A non-empty dict is written key by key, a ``_Templated`` array item by
+    item and a flat integer array ``_INT_CHUNK`` items at a time; every
+    other value is one ``_render_json`` call.
     """
     inner = indent + "  "
     if type(value) is _Templated:
@@ -189,6 +195,13 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
             yield from _json_chunks(value[key], inner)
             sep = "," + inner
         yield indent + "}"
+    elif isinstance(value, (list, tuple)) and value and {*map(type, value)} == {int}:
+        sep = "," + inner
+        head = "[" + inner
+        for start in range(0, len(value), _INT_CHUNK):
+            yield head + sep.join(map(int.__repr__, value[start : start + _INT_CHUNK]))
+            head = sep
+        yield indent + "]"
     else:
         yield _render_json(value, indent)
 

@@ -233,14 +233,20 @@ def window_index(sigma: int, mj: int) -> int | None:
 
 
 class _Prefix:
-    """A prefix (m_1, ..., m_d) with its verdict so far and, on demand, its
-    Apery table: all that the criterion needs to judge an extension.
+    """A prefix (m_1, ..., m_d) with its verdict so far and a test of
+    membership in its semigroup: all that the criterion needs to judge an
+    extension.
 
-    A prefix's table is derived from its parent's by one round-robin pass, so
-    a walk over prefixes builds each table once.
+    The test is either given, as the search chain of
+    :func:`_membership_tests`, which builds no table until its searches have
+    cost as much as one, or, when none is given, a lookup in the prefix's
+    Apery table.  The table of two entries has a closed form and a longer
+    prefix's table is derived from its parent's by one round-robin pass, so
+    a walk over prefixes that judges many extensions of each builds each
+    table once.
     """
 
-    __slots__ = ("entries", "sigma", "witnesses", "failure", "_parent", "_table")
+    __slots__ = ("entries", "sigma", "witnesses", "failure", "_parent", "_table", "_contains")
 
     def __init__(
         self,
@@ -248,6 +254,7 @@ class _Prefix:
         witnesses: tuple[int, ...] = (),
         failure: ClassFailure | None = None,
         parent: _Prefix | None = None,
+        contains: Callable[[int], bool] | None = None,
     ) -> None:
         self.entries = entries
         self.sigma = sum(entries)
@@ -255,12 +262,14 @@ class _Prefix:
         self.failure = failure
         self._parent = parent
         self._table: semigroup.AperyTable | None = None
+        self._contains = contains
 
     @property
     def table(self) -> semigroup.AperyTable:
+        """The Apery table of a prefix of two or more entries."""
         if self._table is None:
-            if self._parent is None:
-                self._table = semigroup.cyclic_apery(self.entries[0])
+            if len(self.entries) == 2:
+                self._table = semigroup._pair_apery(*self.entries)
             else:
                 self._table = semigroup.extend_apery(self._parent.table, self.entries[-1])
         return self._table
@@ -285,15 +294,23 @@ class _Prefix:
             return self.witnesses, ClassFailure(NO_WINDOW_EXISTS, level)
         # m exceeds every prefix entry, so it is no minimal generator and is
         # blocked exactly when it lies in the prefix's semigroup.
-        if semigroup.is_representable(self.table, m):
+        if self._contains is None:
+            blocked = semigroup.is_representable(self.table, m)
+        else:
+            blocked = self._contains(m)
+        if blocked:
             return self.witnesses, ClassFailure(OBSTRUCTION_SET_HIT, level)
         return (*self.witnesses, window), None
 
 
 def _prefix_state(entries: tuple[int, ...]) -> _Prefix:
+    # A prefix here judges one entry, or the gaps enumerate_admissible
+    # re-checks, so membership is searched and tabled only once searching
+    # has cost as much as the table.
     state = _Prefix(entries[:1])
-    for m in entries[1:]:
-        state = _Prefix((*state.entries, m), *state.judge(m), state)
+    for j in range(2, len(entries) + 1):
+        contains = _membership_tests(entries[:j])[0]
+        state = _Prefix(entries[:j], *state.judge(entries[j - 1]), contains=contains)
     return state
 
 
@@ -306,6 +323,12 @@ def is_in_class(weight) -> MembershipVerdict:
     m_j to avoid that window's obstruction set.  As m_j exceeds every prefix
     entry, level j holds exactly when S_j does not divide m_j and m_j is not
     in the semigroup <m_1, ..., m_{j-1}>.
+
+    That membership is answered as :func:`resonances` answers it: in closed
+    form for a two-entry prefix, and for a longer one by a search that
+    builds the prefix's Apery table only once it has taken as many steps as
+    the table has residues.  A verdict on million-scale entries thus takes a
+    few search steps and no table.
     """
     w = _coerce(weight)
     state = _prefix_state(w.m)
@@ -348,23 +371,60 @@ def _suffix_test(
     return search
 
 
-def _sum_solver(gens: tuple[int, ...]) -> Callable[[int], list[tuple[int, ...]]]:
+def _membership_tests(gens: tuple[int, ...]) -> list[Callable[[int], bool]]:
+    """Membership tests for the suffixes of gens: ``tests[q](t)`` tells
+    whether t >= 0 lies in the semigroup of gens[q:], for every suffix of two
+    or more entries, or of the one entry there is.  ``tests[0]`` is the test
+    for gens itself.
+
+    One entry g is a divisibility test.  The last two, a < b with
+    d = gcd(a, b), are solved in closed form: a*k_a + b*k_b = t holds exactly
+    for k_a in one residue class modulo b/d, the least of which is
+    (t/d) * (a/d)^-1 mod b/d, so t is in <a, b> iff d divides t and that
+    least k_a has a*k_a <= t.  Each longer suffix is searched by
+    :func:`_suffix_test` over the test of the suffix after it.
+    """
+    if len(gens) == 1:
+        (g,) = gens
+        return [lambda t: t % g == 0]
+    a, b = gens[-2:]
+    d = math.gcd(a, b)
+    period = b // d
+    inverse = pow(a // d, -1, period)
+
+    def in_pair(t: int) -> bool:
+        return t % d == 0 and t // d * inverse % period * a <= t
+
+    pair = len(gens) - 2
+    tests: list[Callable[[int], bool]] = [in_pair] * (pair + 1)
+    for q in range(pair):
+        tests[q] = _suffix_test(gens, q, tests)
+    return tests
+
+
+def _sum_solver(
+    gens: tuple[int, ...], degree_bound: int | None = None
+) -> Callable[[int], list[tuple[int, ...]]]:
     """A function listing, in lexicographic order, every k >= 0 with
-    sum(gens[r] * k[r]) == t.
+    sum(gens[r] * k[r]) == t, and sum(k) <= degree_bound when one is given.
 
     Before it descends into a value of k_q, the walk checks that the rest
-    of t lies in the semigroup of gens[q+1:], so every branch it enters
-    holds a solution.  The last two coordinates are solved in closed form:
-    a*k_a + b*k_b = t, d = gcd(a, b), holds exactly for k_a in one residue
-    class modulo b/d, the least of which is (t/d) * (a/d)^-1 mod b/d, and
-    each step of b/d in k_a lowers k_b by a/d.
+    of t lies in the semigroup of gens[q+1:], with :func:`_membership_tests`,
+    so every branch it enters holds a solution; with a degree bound it
+    enters no branch whose partial sum(k) already exceeds the bound.  The
+    last two coordinates are one arithmetic progression: from the least k_a
+    of the closed form, each step of b/d in k_a lowers k_b by a/d, and,
+    since a < b, raises k_a + k_b by (b - a)/d, so the terms within the
+    bound are a prefix of it.
     """
     if len(gens) == 1:
         (g,) = gens
 
         def solve_one(t: int) -> list[tuple[int, ...]]:
             k, rest = divmod(t, g)
-            return [] if rest else [(k,)]
+            if rest or (degree_bound is not None and k > degree_bound):
+                return []
+            return [(k,)]
 
         return solve_one
 
@@ -373,47 +433,49 @@ def _sum_solver(gens: tuple[int, ...]) -> Callable[[int], list[tuple[int, ...]]]
     period = b // d
     inverse = pow(a // d, -1, period)
     drop = a // d
+    rise = period - drop
     pair = len(gens) - 2
-
-    def in_pair(t: int) -> bool:
-        return t % d == 0 and t // d * inverse % period * a <= t
-
-    tests: list[Callable[[int], bool]] = [in_pair] * (pair + 1)
-    for q in range(pair):
-        tests[q] = _suffix_test(gens, q, tests)
+    tests = _membership_tests(gens)
 
     def solve(t: int) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
 
-        def descend(q: int, t: int, head: tuple[int, ...]) -> None:
+        # ``room`` is what the bound leaves for the coordinates from q on;
+        # without a bound it is t, which no solution's sum(k) exceeds.
+        def descend(q: int, t: int, head: tuple[int, ...], room: int) -> None:
             if q == pair:
-                # in_pair(t) holds here, so d divides t and k_b starts >= 0.
+                # tests[pair](t) holds here, so d divides t and k_b starts >= 0.
                 k_a = t // d * inverse % period
                 k_b = (t - k_a * a) // b
-                while k_b >= 0:
+                stop = 0
+                if degree_bound is not None:
+                    stop = max(0, k_b - (room - k_a - k_b) // rise * drop)
+                while k_b >= stop:
                     out.append((*head, k_a, k_b))
                     k_a += period
                     k_b -= drop
                 return
             g, inside = gens[q], tests[q + 1]
-            for k in range(t // g + 1):
+            for k in range(min(t // g, room) + 1):
                 rest = t - k * g
                 if inside(rest):
-                    descend(q + 1, rest, (*head, k))
+                    descend(q + 1, rest, (*head, k), room - k)
 
         if tests[0](t):
-            descend(0, t, ())
+            descend(0, t, (), t if degree_bound is None else degree_bound)
         return out
 
     return solve
 
 
-def resonances(weight) -> list[ResonanceWitness]:
+def resonances(weight, _degree_bound: int | None = None) -> list[ResonanceWitness]:
     """All triples (i, j, k) with i < j and m_i + sum(m_r * k_r, r < j) = m_j,
     sorted by (i, j, k).
 
     An empty result certifies that every origin-fixing rotation exponent
-    (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.
+    (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.  The private
+    ``_degree_bound`` keeps only the witnesses with sum(k) at most it, and
+    the walk enters no branch past it.
 
     Cost: the walk over k enters only branches that hold a witness, so its
     time follows the number of witnesses listed, times the values of k_q
@@ -427,7 +489,7 @@ def resonances(weight) -> list[ResonanceWitness]:
     """
     w = _coerce(weight)
     m = w.m
-    solvers = [_sum_solver(m[: j - 1]) for j in range(2, len(m) + 1)]
+    solvers = [_sum_solver(m[: j - 1], _degree_bound) for j in range(2, len(m) + 1)]
     out: list[ResonanceWitness] = []
     for i in range(1, len(m)):
         for j in range(i + 1, len(m) + 1):
@@ -545,10 +607,9 @@ def zero_set_equivalence_check(weight, degree_bound: int) -> bool:
         )
 
     expected: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-    for wit in resonances(w):
+    for wit in resonances(w, degree_bound):
         full = wit.k + (0,) * (n - len(wit.k))
-        if sum(full) <= degree_bound:
-            expected.setdefault((wit.i, wit.j), set()).add(full)
+        expected.setdefault((wit.i, wit.j), set()).add(full)
 
     found: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     for k in _bounded_multi_indices(n, degree_bound):

@@ -80,12 +80,14 @@ def build_sieve(generators, bound: int) -> RepresentabilityTable:
 def build_apery(generators) -> AperyTable:
     """Least representable integer per residue modulo the smallest generator.
 
-    Starts from the table of the smallest generator alone and adds the others
-    one at a time with :func:`extend_apery`.
+    Starts from the closed-form table of the two smallest generators and
+    adds the others one at a time with :func:`extend_apery`.
     """
     gens = _check_generators(generators)
-    table = cyclic_apery(gens[0])
-    for g in gens[1:]:
+    if len(gens) == 1:
+        return cyclic_apery(gens[0])
+    table = _pair_apery(*gens[:2])
+    for g in gens[2:]:
         table = extend_apery(table, g)
     return table
 

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcweights import core
+from qcweights import cli as cli_module
+from qcweights import core, counting
 from qcweights.cli import (
     _json_chunks,
     _render_json,
@@ -18,7 +19,13 @@ from qcweights.cli import (
     _witness_json,
     main,
 )
-from qcweights.model import FAILURE_REASONS, ClassFailure, ResonanceWitness, ScanRow
+from qcweights.model import (
+    FAILURE_REASONS,
+    ClassFailure,
+    ResonanceWitness,
+    ScanRow,
+    window_interval,
+)
 
 from oracles import valid_weights
 
@@ -470,6 +477,80 @@ class TestOutputSinks:
         assert out.count("\n") > 20
 
 
+def _count_envelope(m1, m2):
+    report = counting.closed_form_count(m1, m2)
+    result = {
+        "m1": m1,
+        "m2": m2,
+        "window_size": report.window_size,
+        "i_set_size": report.i_set_size,
+        "gap_set": list(report.gap_set),
+        "formula": report.formula,
+        "closed_form": report.closed_form,
+        "matches": report.matches,
+    }
+    return {"command": "count", "input": {"m1": m1, "m2": m2}, "backend": "sieve", "result": result}
+
+
+def _iset_envelope(prefix, M):
+    iset = core.obstruction_set(prefix, M)
+    result = {
+        "prefix": list(prefix),
+        "M": M,
+        "interval": list(iset.interval),
+        "elements": list(iset.elements),
+        "size": iset.size,
+    }
+    echo = {"prefix": list(prefix), "M": M, "backend": "sieve"}
+    return {"command": "iset", "input": echo, "backend": "sieve", "result": result}
+
+
+def _enumerate_envelope(prefix, M):
+    admissible = core.enumerate_admissible(prefix, M)
+    result = {
+        "prefix": list(prefix),
+        "M": M,
+        "interval": list(window_interval(sum(prefix), M)),
+        "admissible": admissible,
+        "count": len(admissible),
+    }
+    echo = {"prefix": list(prefix), "M": M, "backend": "sieve"}
+    return {"command": "enumerate", "input": echo, "backend": "sieve", "result": result}
+
+
+class TestLongIntegerArrays:
+    # Flat integer arrays of thousands of items are written in chunks; the
+    # bytes are those of json.dumps over the plain payload.
+
+    @pytest.mark.parametrize(
+        "argv, envelope, key",
+        [
+            (["count", "5003", "5009"], lambda: _count_envelope(5003, 5009), "gap_set"),
+            (
+                ["iset", "10000", "10001", "--M", "100000"],
+                lambda: _iset_envelope((10000, 10001), 100000),
+                "elements",
+            ),
+            (
+                ["enumerate", "5003", "5009", "--M", "2"],
+                lambda: _enumerate_envelope((5003, 5009), 2),
+                "admissible",
+            ),
+        ],
+    )
+    def test_matches_json_dumps_through_both_sinks(self, capsys, tmp_path, argv, envelope, key):
+        expected = envelope()
+        assert len(expected["result"][key]) > 2 * cli_module._INT_CHUNK
+        dumped = json.dumps({**expected, "elapsed_ms": 0.0}, sort_keys=True, indent=2) + "\n"
+        target = tmp_path / "out.json"
+        code, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        file_code, file_out, _ = run_cli([*argv, "--format", "json", "--out", str(target)], capsys)
+        assert code == file_code == 0
+        assert file_out == ""
+        assert strip_elapsed(out) == strip_elapsed(dumped)
+        assert strip_elapsed(target.read_bytes().decode()) == strip_elapsed(dumped)
+
+
 def _traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -493,6 +574,7 @@ class TestOutputMemory:
                 ["scan", "--n", "3", "--max", "40"],
                 lambda: core.scan(3, 40, in_class_only=True),
             ),
+            (["count", "50021", "50023"], lambda: counting.closed_form_count(50021, 50023)),
         ],
     )
     def test_json_peak_follows_the_answer(self, tmp_path, argv, compute):
@@ -547,6 +629,13 @@ class TestJsonWriter:
     )
     def test_edge_cases(self, tree):
         assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
+    def test_integer_chunk_boundaries(self, extra):
+        items = list(range(-3, cli_module._INT_CHUNK + extra - 3))
+        for tree in ({"a": items, "b": tuple(items)}, {"a": [*items, True]}):
+            expected = json.dumps(tree, sort_keys=True, indent=2)
+            assert "".join(_json_chunks(tree)) == expected
 
 
 _ints = st.integers() | st.integers(min_value=2**63, max_value=2**80)

@@ -13,6 +13,7 @@ from qcweights.model import (
     FAILURE_REASONS,
     NO_WINDOW_EXISTS,
     OBSTRUCTION_SET_HIT,
+    ClassFailure,
     WeightError,
 )
 
@@ -31,6 +32,22 @@ def small_weights(draw, max_n=4, max_entry=30):
     entries = tuple(sorted(draw(st.sets(st.integers(1, max_entry), min_size=n, max_size=n))))
     assume(math.gcd(*entries) == 1)
     return entries
+
+
+@st.composite
+def large_weights(draw, max_n=5):
+    # Entries up to 10**6 over a first entry small enough to table in a test;
+    # a shared factor in all but the last entry gives prefixes of gcd > 1.
+    n = draw(st.integers(3, max_n))
+    factor = draw(st.sampled_from([1, 1, 2, 3]))
+    first = draw(st.integers(2, 5000 // factor))
+    rest = draw(
+        st.sets(st.integers(first + 1, 10**6 // factor), min_size=n - 2, max_size=n - 2)
+    )
+    head = [factor * x for x in (first, *sorted(rest))]
+    last = draw(st.integers(head[-1] + 1, 10**6))
+    assume(math.gcd(*head, last) == 1)
+    return (*head, last)
 
 
 @st.composite
@@ -300,9 +317,83 @@ class TestIsInClass:
 
     def test_matches_exists_window_oracle(self):
         # The oracle searches all window indices; production computes the
-        # unique one.  They must agree everywhere.
-        for m in valid_weights(3, 20):
-            assert core.is_in_class(m).in_class == oracle_in_class(m)
+        # unique one.  They must agree everywhere, with levels 4 and 5
+        # answered both by search and by a table past the search budget.
+        for n, bound in [(3, 20), (4, 18), (5, 14)]:
+            for m in valid_weights(n, bound):
+                assert core.is_in_class(m).in_class == oracle_in_class(m), m
+
+    @settings(deadline=None, max_examples=40)
+    @given(large_weights())
+    def test_search_matches_table_verdict(self, m):
+        # Every level's membership test, searched, against a lookup in the
+        # prefix's Apery table, and the whole verdict against the one read
+        # off tables derived prefix by prefix, as the scan reads it.
+        for j in range(3, len(m) + 1):
+            table = semigroup.build_apery(m[: j - 1])
+            assert core._membership_tests(m[: j - 1])[0](m[j - 1]) == (
+                semigroup.is_representable(table, m[j - 1])
+            ), (m, j)
+        state = core._Prefix(m[:1])
+        for j in range(2, len(m) + 1):
+            state = core._Prefix(m[:j], *state.judge(m[j - 1]), state)
+        verdict = core.is_in_class(m)
+        assert (verdict.witnesses, verdict.failure) == (state.witnesses, state.failure)
+
+    @pytest.mark.parametrize(
+        "m, in_class, tabled",
+        [
+            # The prefix has gcd 2 and the last entry is odd: no search
+            # finds it, and the budget of 6 steps runs out.
+            ((6, 8, 10, 10**6 + 1), True, True),
+            # Only k_1 = 5 leaves a multiple of gcd(12, 18) = 6, one step
+            # past the budget of 5, so the table answers.
+            ((5, 12, 18, 10**6 + 3), False, True),
+            # Here k_1 = 1 does.
+            ((5, 12, 18, 10**6 + 1), False, False),
+            ((3, 10, 11, 10**6 + 1), False, False),
+            ((999983, 999989, 1999973, 4999999), True, False),
+        ],
+    )
+    def test_table_only_past_the_search_budget(self, monkeypatch, m, in_class, tabled):
+        built = []
+        build_apery = semigroup.build_apery
+        monkeypatch.setattr(
+            semigroup, "build_apery", lambda gens: built.append(gens) or build_apery(gens)
+        )
+        verdict = core.is_in_class(m)
+        assert verdict.in_class == in_class
+        assert built == ([m[:-1]] if tabled else [])
+        if not in_class:
+            assert verdict.failure.reason == OBSTRUCTION_SET_HIT
+            assert verdict.failure.level == len(m)
+
+    @pytest.mark.parametrize(
+        "m, witnesses, failure",
+        [
+            ((999049, 999067, 1998117), (2,), None),
+            # 2997183 = 999049 + 2 * 999067.
+            ((999049, 999067, 2997183), (), ClassFailure(OBSTRUCTION_SET_HIT, 3)),
+            ((999983, 999989, 1999973, 4999999), (2, 2), None),
+        ],
+    )
+    def test_million_scale_verdict_builds_no_table(self, monkeypatch, m, witnesses, failure):
+        # A table of these prefixes would hold about 10**6 residues; the
+        # closed form and a few search steps answer instead.
+        calls = Counter()
+        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
+            monkeypatch.setattr(
+                semigroup, name, lambda *args, name=name: calls.update([name])
+            )
+        tracemalloc.start()
+        try:
+            verdict = core.is_in_class(m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (verdict.witnesses, verdict.failure) == (witnesses, failure)
+        assert calls == Counter()
+        assert peak < 1 << 20
 
 
 class TestResonances:
@@ -481,6 +572,23 @@ class TestZeroSetEquivalence:
     def test_holds_on_random_weights(self, m):
         assert core.zero_set_equivalence_check(m, 6) is True
 
+    @settings(deadline=None, max_examples=80)
+    @given(resonance_weights(), st.integers(0, 4))
+    def test_bounded_walk_keeps_low_degree_witnesses(self, m, bound):
+        expected = [w for w in core.resonances(m) if sum(w.k) <= bound]
+        assert core.resonances(m, bound) == expected
+
+    def test_degree_bound_prunes_the_walk(self):
+        # Unbounded, (2, 3, 5, 7, 257) has 56,604 witnesses; none has degree
+        # 0, and the walk past the bound lists none of them.
+        tracemalloc.start()
+        try:
+            assert core.zero_set_equivalence_check((2, 3, 5, 7, 257), 0) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_negative_bound_rejected(self):
         with pytest.raises(WeightError, match=">= 0"):
             core.zero_set_equivalence_check((2, 3), -1)
@@ -533,6 +641,21 @@ class TestEnumerateAdmissible:
                 if s not in blocked and s > prefix[-1] and math.gcd(*prefix, s) == 1
             ]
             assert core.enumerate_admissible(prefix, window) == expected
+
+    def test_one_table_per_call(self, monkeypatch):
+        # The window pass reads the pair's closed-form table; the re-check of
+        # each gap answers membership in closed form, with no table.
+        expected = [s for s in core.obstruction_set((1009, 1013), 2).gaps() if s > 1013]
+        calls = Counter()
+        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
+            fn = getattr(semigroup, name)
+            monkeypatch.setattr(
+                semigroup,
+                name,
+                lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
+            )
+        assert core.enumerate_admissible((1009, 1013), 2) == expected
+        assert calls == Counter(build_apery=1, _pair_apery=1)
 
     def test_prefix_must_be_in_class(self):
         with pytest.raises(WeightError, match="base-case-m1"):
