@@ -41,8 +41,11 @@ def large_weights(draw, max_n=5):
     n = draw(st.integers(3, max_n))
     factor = draw(st.sampled_from([1, 1, 2, 3]))
     first = draw(st.integers(2, 5000 // factor))
+    # Middle entries stay below 10**6 so that a last entry always fits.
     rest = draw(
-        st.sets(st.integers(first + 1, 10**6 // factor), min_size=n - 2, max_size=n - 2)
+        st.sets(
+            st.integers(first + 1, (10**6 - 1) // factor), min_size=n - 2, max_size=n - 2
+        )
     )
     head = [factor * x for x in (first, *sorted(rest))]
     last = draw(st.integers(head[-1] + 1, 10**6))
