@@ -76,8 +76,24 @@ _backend_option = click.option(
 )
 
 
+# A flat integer array, in JSON or as a text set, is written this many items
+# per chunk, so a gap set of hundreds of thousands of integers is never held
+# as one string.
+_INT_CHUNK = 4096
+
+
 def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
+
+
+def _set_line(label: str, values: tuple[int, ...] | list[int]) -> Iterator[str]:
+    """``f"{label}: {_fmt_set(values)}"`` in chunks of ``_INT_CHUNK`` items,
+    for the sets that can hold hundreds of thousands of integers."""
+    head = f"{label}: {{"
+    for start in range(0, len(values), _INT_CHUNK):
+        yield head + ", ".join(map(str, values[start : start + _INT_CHUNK]))
+        head = ", "
+    yield "}" if values else head + "}"
 
 
 def _fmt_list(values) -> str:
@@ -165,11 +181,6 @@ class _Templated:
         self.render = render
 
 
-# A flat integer array is written this many items per chunk, so a gap set of
-# hundreds of thousands of integers is never held as one string.
-_INT_CHUNK = 4096
-
-
 def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     """``_render_json(value, indent)`` in chunks.
 
@@ -219,7 +230,7 @@ def _finish(
     fmt: str,
     out: str | None,
     started: float,
-    text_lines: Callable[[], Iterable[str]],
+    text_lines: Callable[[], Iterable[str | Iterator[str]]],
 ) -> None:
     if fmt == "json":
         envelope = {
@@ -231,7 +242,18 @@ def _finish(
         }
         _write(_json_document(envelope), out)
     else:
-        _write((line + "\n" for line in text_lines()), out)
+        _write(_text_chunks(text_lines()), out)
+
+
+def _text_chunks(lines: Iterable[str | Iterator[str]]) -> Iterator[str]:
+    """The text lines, each ended by a newline; a line given as an iterator
+    of chunks (see ``_set_line``) is written chunk by chunk."""
+    for line in lines:
+        if type(line) is str:
+            yield line + "\n"
+        else:
+            yield from line
+            yield "\n"
 
 
 def _failure_result(failure: ClassFailure | None) -> dict | None:
@@ -312,12 +334,12 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
     started = time.perf_counter()
     result_set = core.obstruction_set(prefix, window, backend)
 
-    def text() -> list[str]:
+    def text() -> list[str | Iterator[str]]:
         return [
             f"prefix: {' '.join(str(x) for x in result_set.prefix)}",
             f"M: {result_set.window}",
             f"interval: ({result_set.interval[0]}, {result_set.interval[1]})",
-            f"elements: {_fmt_set(result_set.elements)}",
+            _set_line("elements", result_set.elements),
             f"size: {result_set.size}",
         ]
 
@@ -393,12 +415,12 @@ def enumerate_cmd(
         "count": len(admissible),
     }
 
-    def text() -> list[str]:
+    def text() -> list[str | Iterator[str]]:
         return [
             f"prefix: {' '.join(str(x) for x in prefix)}",
             f"M: {window}",
             f"interval: ({lo}, {hi})",
-            f"admissible: {_fmt_set(admissible)}",
+            _set_line("admissible", admissible),
             f"count: {len(admissible)}",
         ]
 
@@ -433,19 +455,19 @@ def count(ctx: click.Context, m1: int, m2: int, fmt: str, out: str | None) -> No
         "m2": report.m2,
         "window_size": report.window_size,
         "i_set_size": report.i_set_size,
-        "gap_set": list(report.gap_set),
+        "gap_set": report.gap_set,
         "formula": report.formula,
         "closed_form": report.closed_form,
         "matches": report.matches,
     }
 
-    def text() -> list[str]:
+    def text() -> list[str | Iterator[str]]:
         return [
             f"m1: {report.m1}",
             f"m2: {report.m2}",
             f"window_size: {report.window_size}",
             f"i_set_size: {report.i_set_size}",
-            f"gap_set: {_fmt_set(report.gap_set)}",
+            _set_line("gap_set", report.gap_set),
             f"formula: {report.formula if report.formula is not None else 'none'}",
             f"closed_form: {report.closed_form if report.closed_form is not None else 'none'}",
             f"matches: {_fmt_bool(report.matches)}",

@@ -202,11 +202,14 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
 
     ``brute`` runs nested loops over the multi-indices.  ``sieve`` and
     ``apery`` share the Apery engine, which reads each residue class's
-    arithmetic progression inside the window off the prefix's Apery table,
-    in time and memory that follow the prefix and the output, not M.  All
-    three return identical sets on every input; the nested loops and the
-    dynamic-programming sieve (``semigroup.build_sieve``) remain as the
-    oracles the tests compare the engine against.
+    arithmetic progression inside the window, in time and memory that follow
+    the prefix and the output, not M.  A two-entry prefix needs no table:
+    its classes start at the multiples of its second entry, which the pass
+    walks only up to the window top.  A longer prefix's classes are read off
+    its Apery table.  All three return identical sets on every input; the
+    nested loops and the dynamic-programming sieve
+    (``semigroup.build_sieve``) remain as the oracles the tests compare the
+    engine against.
     """
     pref = _check_prefix(prefix)
     M = operator.index(M)
@@ -218,6 +221,8 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
         lo, hi = window_interval(sum(pref), M)
         elements = tuple(_brute_window_elements(pref, lo, hi))
         return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=elements)
+    if len(pref) == 2:
+        return semigroup.pair_window(*pref, M)
     return semigroup.obstruction_set_fast(pref, M, semigroup.build_apery(pref))
 
 
@@ -233,17 +238,19 @@ def window_index(sigma: int, mj: int) -> int | None:
 
 
 class _Prefix:
-    """A prefix (m_1, ..., m_d) with its verdict so far and a test of
-    membership in its semigroup: all that the criterion needs to judge an
-    extension.
+    """A prefix (m_1, ..., m_d) with its verdict so far, a test of
+    membership in its semigroup and its windows: all that the criterion
+    needs to judge an extension.
 
-    The test is either given, as the search chain of
-    :func:`_membership_tests`, which builds no table until its searches have
-    cost as much as one, or, when none is given, a lookup in the prefix's
-    Apery table.  The table of two entries has a closed form and a longer
-    prefix's table is derived from its parent's by one round-robin pass, so
-    a walk over prefixes that judges many extensions of each builds each
-    table once.
+    A two-entry prefix answers both in closed form
+    (``semigroup.pair_membership`` and ``semigroup.pair_window``) and builds
+    no table.  A longer prefix is given its membership test, as the search
+    chain of :func:`_membership_tests`, which builds no table until its
+    searches have cost as much as one, or, when none is given, looks it up
+    in the prefix's Apery table.  That table is derived from the parent's
+    by one round-robin pass, and a pair's table, built only when a child
+    asks for it, from the pair's closed form, so a walk over prefixes that
+    judges many extensions of each builds each table once.
     """
 
     __slots__ = ("entries", "sigma", "witnesses", "failure", "_parent", "_table", "_contains")
@@ -262,6 +269,8 @@ class _Prefix:
         self.failure = failure
         self._parent = parent
         self._table: semigroup.AperyTable | None = None
+        if contains is None and len(entries) == 2:
+            contains = semigroup.pair_membership(*entries)
         self._contains = contains
 
     @property
@@ -273,6 +282,12 @@ class _Prefix:
             else:
                 self._table = semigroup.extend_apery(self._parent.table, self.entries[-1])
         return self._table
+
+    def window(self, M: int) -> ObstructionSet:
+        """The obstruction set of window M over a prefix of two or more entries."""
+        if len(self.entries) == 2:
+            return semigroup.pair_window(*self.entries, M)
+        return semigroup.obstruction_set_fast(self.entries, M, self.table)
 
     def judge(self, m: int) -> tuple[tuple[int, ...], ClassFailure | None]:
         """Witness chain and failure of the prefix extended by m.
@@ -377,24 +392,14 @@ def _membership_tests(gens: tuple[int, ...]) -> list[Callable[[int], bool]]:
     or more entries, or of the one entry there is.  ``tests[0]`` is the test
     for gens itself.
 
-    One entry g is a divisibility test.  The last two, a < b with
-    d = gcd(a, b), are solved in closed form: a*k_a + b*k_b = t holds exactly
-    for k_a in one residue class modulo b/d, the least of which is
-    (t/d) * (a/d)^-1 mod b/d, so t is in <a, b> iff d divides t and that
-    least k_a has a*k_a <= t.  Each longer suffix is searched by
-    :func:`_suffix_test` over the test of the suffix after it.
+    One entry g is a divisibility test.  The last two are solved in closed
+    form by ``semigroup.pair_membership``.  Each longer suffix is searched
+    by :func:`_suffix_test` over the test of the suffix after it.
     """
     if len(gens) == 1:
         (g,) = gens
         return [lambda t: t % g == 0]
-    a, b = gens[-2:]
-    d = math.gcd(a, b)
-    period = b // d
-    inverse = pow(a // d, -1, period)
-
-    def in_pair(t: int) -> bool:
-        return t % d == 0 and t // d * inverse % period * a <= t
-
+    in_pair = semigroup.pair_membership(*gens[-2:])
     pair = len(gens) - 2
     tests: list[Callable[[int], bool]] = [in_pair] * (pair + 1)
     for q in range(pair):
@@ -556,8 +561,7 @@ def scan(
                 if window is not None:
                     size = window_sizes.get(window)
                     if size is None:
-                        iset = semigroup.obstruction_set_fast(prefix.entries, window, prefix.table)
-                        size = window_sizes[window] = iset.size
+                        size = window_sizes[window] = prefix.window(window).size
                 level_sizes = (*sizes, size)
             else:
                 level_sizes = sizes

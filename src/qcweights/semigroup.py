@@ -7,23 +7,33 @@ A class holds exactly its least value and every larger integer of the class,
 one arithmetic progression of step m_1.  An obstruction set is the
 semigroup's nonzero elements minus its minimal generators, so the window
 pass reads each class's progression tail inside the window, in
-O(m_1 + output) time and memory for any window index.  The sieve, a forward
-dynamic program over 0..bound, is kept only as the independent oracle the
-tests compare the Apery engine against; the production functions do not
-accept it.
+O(m_1 + output) time and memory for any window index.
+
+Two generators a < b need no table: the least elements of the classes
+modulo a are the multiples k*b, 0 <= k < a/gcd(a, b).  So
+:func:`pair_membership` answers membership in closed form, and
+:func:`pair_window` walks only the multiples of b below the window top,
+in time and memory that follow the output.
+
+The sieve, a forward dynamic program over 0..bound, is kept only as the
+independent oracle the tests compare the Apery engine against; the
+production functions do not accept it, and numpy, which it runs on, is
+imported on its first call only.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Callable
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from qcweights.model import ObstructionSet, window_interval
 
-_INT64_MAX = 2**63 - 1
+if TYPE_CHECKING:
+    import numpy as np
+
 
 @dataclass(frozen=True)
 class RepresentabilityTable:
@@ -63,6 +73,8 @@ def build_sieve(generators, bound: int) -> RepresentabilityTable:
     multiplier); closing the generators in sequence then yields the full
     semigroup restricted to 0..bound.
     """
+    import numpy as np
+
     gens = _check_generators(generators)
     bound = operator.index(bound)
     if bound < 0:
@@ -145,21 +157,85 @@ def _pair_apery(m: int, g: int) -> AperyTable:
     """The table of <m, g> for m < g: Ap = {k*g : 0 <= k < m / d}, d = gcd(m, g).
 
     Adding multiples of m keeps the class, so the least element of a class
-    is its least multiple of g.  The classes hit are the multiples of d, and
-    class d*j is hit first by k = j * (g/d)^-1 mod (m/d).
+    is its least multiple of g; the m/d multiples below (m/d)*g fall in
+    distinct classes, the multiples of d, and the others stay unreachable.
     """
-    d = math.gcd(m, g)
-    period = m // d
-    inverse = pow(g // d, -1, period)
-    # int64 while every intermediate value fits; Python ints beyond that.
-    wide = (period - 1) * max(period, g) > _INT64_MAX
-    j = np.arange(period, dtype=object if wide else np.int64)
-    reachable = (j * inverse % period * g).tolist()
-    if d == 1:
-        return AperyTable(generators=(m, g), modulus=m, least=tuple(reachable))
     least: list[int | None] = [None] * m
-    least[::d] = reachable
+    for value in range(0, m // math.gcd(m, g) * g, g):
+        least[value % m] = value
     return AperyTable(generators=(m, g), modulus=m, least=tuple(least))
+
+
+def pair_membership(a: int, b: int) -> Callable[[int], bool]:
+    """Membership in <a, b>, a < b, in closed form: the returned test tells
+    whether an integer t lies in the semigroup (false for every t < 0).
+
+    With d = gcd(a, b), a*k_a + b*k_b = t holds exactly for k_a in one
+    residue class modulo b/d, the least of which is (t/d) * (a/d)^-1 mod
+    b/d, so t is in <a, b> iff d divides t and that least k_a has
+    a*k_a <= t.
+    """
+    d = math.gcd(a, b)
+    period = b // d
+    inverse = pow(a // d, -1, period)
+
+    def in_pair(t: int) -> bool:
+        return t % d == 0 and t // d * inverse % period * a <= t
+
+    return in_pair
+
+
+def _check_window(M: int) -> int:
+    M = operator.index(M)
+    if M < 1:
+        raise ValueError("window index M must be >= 1")
+    return M
+
+
+def pair_window(a: int, b: int, M: int) -> ObstructionSet:
+    """The obstruction set of window M over the prefix (a, b), a < b, with
+    no table.
+
+    It is what :func:`obstruction_set_fast` returns from the pair's Apery
+    table, whose classes modulo a start at k*b for k < a/gcd(a, b).  The
+    pass walks only the k*b below the window top, so it takes
+    O(min(a, M) + output) time and memory.  Its minimal generators are a,
+    and b unless a divides b.
+    """
+    a, b, M = operator.index(a), operator.index(b), _check_window(M)
+    if not 0 < a < b:
+        raise ValueError(f"need 0 < a < b, got ({a}, {b})")
+    lo, hi = window_interval(a + b, M)
+    starts = range(0, min(a // math.gcd(a, b) * b, hi), b)
+    minimal = {a} if b % a == 0 else {a, b}
+    return _window((a, b), M, lo, hi, a, starts, minimal)
+
+
+def _window(
+    prefix: tuple[int, ...],
+    M: int,
+    lo: int,
+    hi: int,
+    step: int,
+    starts,
+    minimal: set[int],
+) -> ObstructionSet:
+    """The window (lo, hi) of a semigroup whose elements are the
+    progressions start, start + step, ... of ``starts`` (each below hi),
+    less the ``minimal`` generators in window 1.
+
+    The pass extends one list with each progression's tail inside the
+    window and sorts it once.
+    """
+    first_in = lo + 1
+    elements: list[int] = []
+    for start in starts:
+        first = start if start >= first_in else first_in + (start - first_in) % step
+        elements.extend(range(first, hi, step))
+    elements.sort()
+    if M == 1:
+        elements = [t for t in elements if t not in minimal]
+    return ObstructionSet(prefix=prefix, window=M, interval=(lo, hi), elements=tuple(elements))
 
 
 def is_representable(table: AperyTable, t: int) -> bool:
@@ -206,20 +282,8 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
         raise ValueError(
             f"table generators {table.generators} do not match prefix {pref}"
         )
-    M = operator.index(M)
-    if M < 1:
-        raise ValueError("window index M must be >= 1")
+    M = _check_window(M)
     lo, hi = window_interval(sum(pref), M)
-    start = lo + 1
-    step = table.modulus
-    elements: list[int] = []
-    for least in table.least:
-        if least is None or least >= hi:
-            continue
-        first = least if least >= start else start + (least - start) % step
-        elements.extend(range(first, hi, step))
-    elements.sort()
-    if M == 1:
-        minimal = _minimal_generators(table)
-        elements = [t for t in elements if t not in minimal]
-    return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=tuple(elements))
+    starts = [least for least in table.least if least is not None and least < hi]
+    minimal = _minimal_generators(table) if M == 1 else set()
+    return _window(pref, M, lo, hi, table.modulus, starts, minimal)

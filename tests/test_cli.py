@@ -441,6 +441,50 @@ class TestOutputPlumbing:
         assert proc.returncode == 3
 
 
+class TestNoNumpyAtRuntime:
+    # numpy runs only the sieve oracle of the tests; no command needs it.
+
+    def test_cli_import_leaves_numpy_out(self):
+        code = "import sys, qcweights.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        )
+        assert proc.stdout == "False\n"
+
+    def test_every_command_runs_without_numpy(self):
+        # With sys.modules["numpy"] = None, any import of numpy raises.
+        code = """
+import contextlib, io, sys
+sys.modules["numpy"] = None
+from qcweights.cli import main
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        print(main(argv.split()), flush=True, file=sys.stderr)
+"""
+        invocations = {
+            "classify 3 7 11": 0,
+            "classify 999983 999989 1999973 4999999": 0,
+            "classify 3 5 9": 3,
+            "iset 3 7 --M 2 --backend sieve": 0,
+            "iset 3 7 --M 2 --backend apery": 0,
+            "iset 3 5 7 --M 5 --backend apery": 0,
+            "enumerate 5 7 --M 2": 0,
+            "count 5 11": 0,
+            "table d-table": 0,
+            "scan --n 3 --max 12": 0,
+            "scan --n 4 --max 12 --format json": 0,
+            "resonances 1 2 3": 3,
+            "resonances 3 5 7": 0,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *invocations],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.split() == [str(rc) for rc in invocations.values()]
+
+
 class TestOutputSinks:
     # Every format streams through one writer, to stdout or to --out.
 
@@ -549,6 +593,95 @@ class TestLongIntegerArrays:
         assert file_out == ""
         assert strip_elapsed(out) == strip_elapsed(dumped)
         assert strip_elapsed(target.read_bytes().decode()) == strip_elapsed(dumped)
+
+
+def _unchunked_set(values) -> str:
+    return "{" + ", ".join(str(v) for v in values) + "}"
+
+
+class TestLongTextSets:
+    # Text mode writes the long sets of count, iset and enumerate in chunks;
+    # the bytes are those of the whole set rendered as one string.
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["count", "5003", "5009"],
+                lambda: _count_text(counting.closed_form_count(5003, 5009)),
+            ),
+            (
+                ["iset", "10000", "10001", "--M", "100000"],
+                lambda: _iset_text(core.obstruction_set((10000, 10001), 100000)),
+            ),
+            (
+                ["enumerate", "5003", "5009", "--M", "2"],
+                lambda: _enumerate_text((5003, 5009), 2),
+            ),
+            (["enumerate", "3", "5", "--M", "1"], lambda: _enumerate_text((3, 5), 1)),
+        ],
+    )
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_matches_unchunked_through_both_sinks(
+        self, capsys, tmp_path, monkeypatch, argv, expected, chunk
+    ):
+        monkeypatch.setattr(cli_module, "_INT_CHUNK", chunk)
+        text = expected()
+        target = tmp_path / "out.txt"
+        code, out, _ = run_cli(argv, capsys)
+        file_code, file_out, _ = run_cli([*argv, "--out", str(target)], capsys)
+        assert code == file_code == 0
+        assert file_out == ""
+        assert out == text
+        assert target.read_bytes() == text.encode()
+
+    def test_empty_set_line(self):
+        assert "".join(cli_module._set_line("admissible", ())) == "admissible: {}"
+
+    def test_text_peak_follows_the_answer(self, tmp_path):
+        target = tmp_path / "out.txt"
+        answer = _traced_peak(lambda: counting.closed_form_count(50021, 50023))
+        rendered = _traced_peak(lambda: main(["count", "50021", "50023", "--out", str(target)]))
+        assert target.stat().st_size > 500_000
+        assert rendered <= 1.5 * answer, (rendered, answer)
+
+
+def _count_text(report) -> str:
+    lines = [
+        f"m1: {report.m1}",
+        f"m2: {report.m2}",
+        f"window_size: {report.window_size}",
+        f"i_set_size: {report.i_set_size}",
+        f"gap_set: {_unchunked_set(report.gap_set)}",
+        f"formula: {report.formula if report.formula is not None else 'none'}",
+        f"closed_form: {report.closed_form if report.closed_form is not None else 'none'}",
+        "matches: true",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def _iset_text(iset) -> str:
+    lines = [
+        f"prefix: {' '.join(map(str, iset.prefix))}",
+        f"M: {iset.window}",
+        f"interval: ({iset.interval[0]}, {iset.interval[1]})",
+        f"elements: {_unchunked_set(iset.elements)}",
+        f"size: {iset.size}",
+    ]
+    return "".join(line + "\n" for line in lines)
+
+
+def _enumerate_text(prefix, M) -> str:
+    admissible = core.enumerate_admissible(prefix, M)
+    lo, hi = window_interval(sum(prefix), M)
+    lines = [
+        f"prefix: {' '.join(map(str, prefix))}",
+        f"M: {M}",
+        f"interval: ({lo}, {hi})",
+        f"admissible: {_unchunked_set(admissible)}",
+        f"count: {len(admissible)}",
+    ]
+    return "".join(line + "\n" for line in lines)
 
 
 def _traced_peak(fn) -> int:

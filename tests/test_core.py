@@ -646,8 +646,8 @@ class TestEnumerateAdmissible:
             assert core.enumerate_admissible(prefix, window) == expected
 
     def test_one_table_per_call(self, monkeypatch):
-        # The window pass reads the pair's closed-form table; the re-check of
-        # each gap answers membership in closed form, with no table.
+        # The window pass walks the pair's classes in closed form, and the
+        # re-check of each gap answers membership in closed form: no table.
         expected = [s for s in core.obstruction_set((1009, 1013), 2).gaps() if s > 1013]
         calls = Counter()
         for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
@@ -658,7 +658,7 @@ class TestEnumerateAdmissible:
                 lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
             )
         assert core.enumerate_admissible((1009, 1013), 2) == expected
-        assert calls == Counter(build_apery=1, _pair_apery=1)
+        assert calls == Counter()
 
     def test_prefix_must_be_in_class(self):
         with pytest.raises(WeightError, match="base-case-m1"):
@@ -715,6 +715,42 @@ class TestLargeInputs:
         assert iset.elements == tuple(sorted(expected))
         verdict = core.is_in_class((999983, 999989, 1999973))
         assert verdict.in_class and verdict.witnesses == (2,)
+
+
+    def test_pair_window_builds_no_table(self, monkeypatch):
+        # The window-2 set that count 199039 199049 reads: four multiples of
+        # 199049 start classes below the window top, and no table of 199,039
+        # residues is built.
+        calls = Counter()
+        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
+            monkeypatch.setattr(
+                semigroup, name, lambda *args, name=name: calls.update([name])
+            )
+        tracemalloc.start()
+        try:
+            iset = core.obstruction_set((199039, 199049), 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iset.elements == (398098, 597117, 597127, 597137, 597147, 796156, 796166)
+        assert calls == Counter()
+        assert peak < 64 << 10
+
+    def test_length_3_scan_builds_no_table(self, monkeypatch):
+        # Every prefix a length-3 scan extends has two entries, so its
+        # verdicts and window sizes are answered in closed form.
+        calls = Counter()
+        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
+            fn = getattr(semigroup, name)
+            monkeypatch.setattr(
+                semigroup,
+                name,
+                lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
+            )
+        assert core.scan(3, 30)
+        assert calls == Counter()
+        core.scan(4, 12)
+        assert set(calls) == {"_pair_apery", "extend_apery"}
 
 
 class TestShiftMapMonotonicity:

@@ -145,6 +145,115 @@ class TestBuildApery:
         assert all(type(v) is int for v in extended.least if v is not None)
 
 
+# Pairs a < b up to 45, two thirds of them scaled by 2 or 3 so that the
+# gcd exceeds 1, and some with a dividing b.
+pairs = st.builds(
+    lambda entries, factor: tuple(sorted(factor * e for e in entries)),
+    st.sets(st.integers(1, 15), min_size=2, max_size=2),
+    st.integers(1, 3),
+)
+
+
+def sieve_member(least, modulus, t):
+    """Membership read off the sieve's least value per class modulo m_1."""
+    if t < 0:
+        return False
+    first = least[t % modulus]
+    return first is not None and t >= first
+
+
+class TestPairClosedForm:
+    """The table-free pair window and pair membership against the sieve and
+    the nested-loop oracle."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(pairs, st.integers(1, 3))
+    @example((2, 4), 1)
+    @example((3, 9), 1)
+    @example((1, 5), 1)
+    @example((4, 6), 1)
+    def test_window_matches_sieve_and_oracle(self, pair, window):
+        got = semigroup.pair_window(*pair, window)
+        expected = sieve_window(pair, window)
+        assert got == expected
+        assert list(got.elements) == oracle_window_elements(pair, window)
+        assert got.gaps() == expected.gaps()
+        assert got == apery_window(pair, window)
+
+    @settings(deadline=None, max_examples=40)
+    @given(pairs, st.data())
+    def test_shifted_window_matches_sieve(self, pair, data):
+        window = data.draw(st.integers(4, 10**5 // sum(pair)))
+        got = semigroup.pair_window(*pair, window)
+        assert got == sieve_window(pair, window)
+        assert got.gaps() == sieve_window(pair, window).gaps()
+
+    @settings(deadline=None, max_examples=60)
+    @given(pairs, st.integers(0, 10**40))
+    def test_huge_window_matches_sieve_classes(self, pair, window):
+        # No sieve reaches these windows, but each class modulo a holds its
+        # least element, as the sieve gives it, and all larger ones.
+        window += 2**63
+        least = sieve_least(pair)
+        got = semigroup.pair_window(*pair, window)
+        lo, hi = got.interval
+        assert (lo, hi) == ((window - 1) * sum(pair), window * sum(pair))
+        expected = [t for t in range(lo + 1, hi) if sieve_member(least, pair[0], t)]
+        assert list(got.elements) == expected
+        assert sorted(got.gaps() + got.elements) == list(range(lo + 1, hi))
+
+    @settings(deadline=None, max_examples=60)
+    @given(pairs, st.integers(2**63, 10**40))
+    @example((2, 4), 1)
+    @example((3, 9), 1)
+    def test_membership_matches_sieve(self, pair, far):
+        contains = semigroup.pair_membership(*pair)
+        bound = pair[0] * pair[1] + 1
+        sieve = semigroup.build_sieve(pair, bound)
+        for t in range(-pair[1], bound + 1):
+            assert contains(t) == sieve_contains(sieve, t), t
+        least = sieve_least(pair)
+        for t in range(far, far + 2 * pair[0]):
+            assert contains(t) == sieve_member(least, pair[0], t), t
+
+    def test_membership_matches_oracle(self):
+        for a, b in combinations(range(1, 13), 2):
+            contains = semigroup.pair_membership(a, b)
+            for t in range(40):
+                assert contains(t) == oracle_representable((a, b), t), (a, b, t)
+
+    @settings(deadline=None, max_examples=60)
+    @given(pairs)
+    @example((2, 4))
+    @example((6, 10))
+    def test_pair_apery_matches_sieve(self, pair):
+        table = semigroup._pair_apery(*pair)
+        assert table.generators == pair
+        assert table.least == sieve_least(pair)
+
+    def test_window_reference(self):
+        # Window 2 over (5, 7): seven blocked values, four admissible gaps.
+        iset = semigroup.pair_window(5, 7, 2)
+        assert iset.elements == (14, 15, 17, 19, 20, 21, 22)
+        assert iset.gaps() == (13, 16, 18, 23)
+
+    def test_wide_sparse_window_walks_few_classes(self):
+        # Of the 199,039 classes modulo a, four start below the window top.
+        tracemalloc.start()
+        try:
+            iset = semigroup.pair_window(199039, 199049, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert iset.elements == (398098, 597117, 597127, 597137, 597147, 796156, 796166)
+        assert peak < 16 << 10
+
+    @pytest.mark.parametrize("a, b, M", [(5, 5, 1), (7, 5, 1), (0, 5, 1), (3, 5, 0)])
+    def test_bad_arguments(self, a, b, M):
+        with pytest.raises(ValueError):
+            semigroup.pair_window(a, b, M)
+
+
 class TestRepresentability:
     def test_reference_queries(self):
         sieve = semigroup.build_sieve((3, 5), 20)
