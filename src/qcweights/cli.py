@@ -116,44 +116,8 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
 
 
 def _render_json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte.
-
-    With ``indent`` set, CPython's json falls back to its pure-Python
-    encoder, which makes several generator calls per value.  This writer
-    makes one call per container, renders integer members without a call,
-    joins flat integer arrays in one step, and leaves only floats to
-    ``json.dumps``.
-    """
-    inner = indent + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = []
-        for key in sorted(value):
-            item = value[key]
-            text = int.__repr__(item) if type(item) is int else _render_json(item, inner)
-            items.append(f"{encode_basestring_ascii(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        # type() rather than isinstance: bools render as true and false.
-        if {*map(type, value)} == {int}:
-            items = map(int.__repr__, value)
-        else:
-            items = [_render_json(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    return json.dumps(value)
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte."""
+    return "".join(_json_chunks(value, indent))
 
 
 # A slot renders as "\u0000" and so cannot be mistaken for a key or fixed text.
@@ -182,39 +146,60 @@ class _Templated:
 
 
 def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
-    """``_render_json(value, indent)`` in chunks.
+    """``json.dumps(value, sort_keys=True, indent=2)`` in chunks.
 
-    A non-empty dict is written key by key, a ``_Templated`` array item by
-    item and a flat integer array ``_INT_CHUNK`` items at a time; every
-    other value is one ``_render_json`` call.
+    With ``indent`` set, CPython's json falls back to its pure-Python
+    encoder, which makes several generator calls per value.  This writer
+    writes a dict key by key, a ``_Templated`` array item by item and a flat
+    integer array ``_INT_CHUNK`` items at a time, and leaves only floats to
+    ``json.dumps``.
     """
     inner = indent + "  "
-    if type(value) is _Templated:
-        if not value.items:
-            yield "[]"
+    if isinstance(value, dict):
+        if not value:
+            yield "{}"
             return
-        render = value.render
-        sep = "[" + inner
-        for item in value.items:
-            yield sep + render(item, inner)
-            sep = "," + inner
-        yield indent + "]"
-    elif isinstance(value, dict) and value:
         sep = "{" + inner
         for key in sorted(value):
             yield f"{sep}{encode_basestring_ascii(key)}: "
             yield from _json_chunks(value[key], inner)
             sep = "," + inner
         yield indent + "}"
-    elif isinstance(value, (list, tuple)) and value and {*map(type, value)} == {int}:
+    elif isinstance(value, (list, tuple, _Templated)):
+        items = value.items if type(value) is _Templated else value
+        if not items:
+            yield "[]"
+            return
         sep = "," + inner
         head = "[" + inner
-        for start in range(0, len(value), _INT_CHUNK):
-            yield head + sep.join(map(int.__repr__, value[start : start + _INT_CHUNK]))
-            head = sep
+        if type(value) is _Templated:
+            render = value.render
+            for item in items:
+                yield head + render(item, inner)
+                head = sep
+        # type() rather than isinstance: bools render as true and false.
+        elif {*map(type, items)} == {int}:
+            for start in range(0, len(items), _INT_CHUNK):
+                yield head + sep.join(map(int.__repr__, items[start : start + _INT_CHUNK]))
+                head = sep
+        else:
+            for item in items:
+                yield head
+                yield from _json_chunks(item, inner)
+                head = sep
         yield indent + "]"
+    elif isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif type(value) is int:
+        yield int.__repr__(value)
+    elif value is None:
+        yield "null"
+    elif value is True:
+        yield "true"
+    elif value is False:
+        yield "false"
     else:
-        yield _render_json(value, indent)
+        yield json.dumps(value)
 
 
 def _json_document(envelope: dict) -> Iterator[str]:

@@ -9,7 +9,6 @@ nested-loop searches are the ground truth the fast paths are tested against.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
@@ -201,15 +200,15 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
     the prefix sum.
 
     ``brute`` runs nested loops over the multi-indices.  ``sieve`` and
-    ``apery`` share the Apery engine, which reads each residue class's
-    arithmetic progression inside the window, in time and memory that follow
-    the prefix and the output, not M.  A two-entry prefix needs no table:
-    its classes start at the multiples of its second entry, which the pass
-    walks only up to the window top.  A longer prefix's classes are read off
-    its Apery table.  All three return identical sets on every input; the
-    nested loops and the dynamic-programming sieve
-    (``semigroup.build_sieve``) remain as the oracles the tests compare the
-    engine against.
+    ``apery`` both ask ``semigroup.Semigroup(prefix).window(M)``, which reads
+    each residue class's arithmetic progression inside the window, in time
+    and memory that follow the prefix and the output, not M.  A two-entry
+    prefix needs no table: its classes start at the multiples of its second
+    entry, which the pass walks only up to the window top.  A longer
+    prefix's classes are read off its Apery table.  All three return
+    identical sets on every input; the nested loops and the
+    dynamic-programming sieve (``semigroup.build_sieve``) remain as the
+    oracles the tests compare the engine against.
     """
     pref = _check_prefix(prefix)
     M = operator.index(M)
@@ -221,9 +220,7 @@ def obstruction_set(prefix, M: int, backend: str = "sieve") -> ObstructionSet:
         lo, hi = window_interval(sum(pref), M)
         elements = tuple(_brute_window_elements(pref, lo, hi))
         return ObstructionSet(prefix=pref, window=M, interval=(lo, hi), elements=elements)
-    if len(pref) == 2:
-        return semigroup.pair_window(*pref, M)
-    return semigroup.obstruction_set_fast(pref, M, semigroup.build_apery(pref))
+    return semigroup.Semigroup(pref).window(M)
 
 
 def window_index(sigma: int, mj: int) -> int | None:
@@ -238,56 +235,23 @@ def window_index(sigma: int, mj: int) -> int | None:
 
 
 class _Prefix:
-    """A prefix (m_1, ..., m_d) with its verdict so far, a test of
-    membership in its semigroup and its windows: all that the criterion
-    needs to judge an extension.
-
-    A two-entry prefix answers both in closed form
-    (``semigroup.pair_membership`` and ``semigroup.pair_window``) and builds
-    no table.  A longer prefix is given its membership test, as the search
-    chain of :func:`_membership_tests`, which builds no table until its
-    searches have cost as much as one, or, when none is given, looks it up
-    in the prefix's Apery table.  That table is derived from the parent's
-    by one round-robin pass, and a pair's table, built only when a child
-    asks for it, from the pair's closed form, so a walk over prefixes that
-    judges many extensions of each builds each table once.
+    """A prefix (m_1, ..., m_d) with its verdict so far and its semigroup:
+    all that the criterion needs to judge an extension.
     """
 
-    __slots__ = ("entries", "sigma", "witnesses", "failure", "_parent", "_table", "_contains")
+    __slots__ = ("entries", "sigma", "witnesses", "failure", "group")
 
     def __init__(
         self,
-        entries: tuple[int, ...],
+        group: semigroup.Semigroup,
         witnesses: tuple[int, ...] = (),
         failure: ClassFailure | None = None,
-        parent: _Prefix | None = None,
-        contains: Callable[[int], bool] | None = None,
     ) -> None:
-        self.entries = entries
-        self.sigma = sum(entries)
+        self.group = group
+        self.entries = group.gens
+        self.sigma = sum(self.entries)
         self.witnesses = witnesses
         self.failure = failure
-        self._parent = parent
-        self._table: semigroup.AperyTable | None = None
-        if contains is None and len(entries) == 2:
-            contains = semigroup.pair_membership(*entries)
-        self._contains = contains
-
-    @property
-    def table(self) -> semigroup.AperyTable:
-        """The Apery table of a prefix of two or more entries."""
-        if self._table is None:
-            if len(self.entries) == 2:
-                self._table = semigroup._pair_apery(*self.entries)
-            else:
-                self._table = semigroup.extend_apery(self._parent.table, self.entries[-1])
-        return self._table
-
-    def window(self, M: int) -> ObstructionSet:
-        """The obstruction set of window M over a prefix of two or more entries."""
-        if len(self.entries) == 2:
-            return semigroup.pair_window(*self.entries, M)
-        return semigroup.obstruction_set_fast(self.entries, M, self.table)
 
     def judge(self, m: int) -> tuple[tuple[int, ...], ClassFailure | None]:
         """Witness chain and failure of the prefix extended by m.
@@ -309,23 +273,18 @@ class _Prefix:
             return self.witnesses, ClassFailure(NO_WINDOW_EXISTS, level)
         # m exceeds every prefix entry, so it is no minimal generator and is
         # blocked exactly when it lies in the prefix's semigroup.
-        if self._contains is None:
-            blocked = semigroup.is_representable(self.table, m)
-        else:
-            blocked = self._contains(m)
-        if blocked:
+        if self.group.contains(m):
             return self.witnesses, ClassFailure(OBSTRUCTION_SET_HIT, level)
         return (*self.witnesses, window), None
 
 
 def _prefix_state(entries: tuple[int, ...]) -> _Prefix:
     # A prefix here judges one entry, or the gaps enumerate_admissible
-    # re-checks, so membership is searched and tabled only once searching
-    # has cost as much as the table.
-    state = _Prefix(entries[:1])
+    # re-checks, so each level's semigroup is made from its bare tuple and
+    # searches before it builds a table.
+    state = _Prefix(semigroup.Semigroup(entries[:1]))
     for j in range(2, len(entries) + 1):
-        contains = _membership_tests(entries[:j])[0]
-        state = _Prefix(entries[:j], *state.judge(entries[j - 1]), contains=contains)
+        state = _Prefix(semigroup.Semigroup(entries[:j]), *state.judge(entries[j - 1]))
     return state
 
 
@@ -339,72 +298,15 @@ def is_in_class(weight) -> MembershipVerdict:
     entry, level j holds exactly when S_j does not divide m_j and m_j is not
     in the semigroup <m_1, ..., m_{j-1}>.
 
-    That membership is answered as :func:`resonances` answers it: in closed
-    form for a two-entry prefix, and for a longer one by a search that
-    builds the prefix's Apery table only once it has taken as many steps as
-    the table has residues.  A verdict on million-scale entries thus takes a
+    That membership is ``semigroup.Semigroup(prefix).contains``: closed
+    form for a two-entry prefix, and for a longer one a search that builds
+    the prefix's Apery table only once it has taken as many steps as the
+    table has residues.  A verdict on million-scale entries thus takes a
     few search steps and no table.
     """
     w = _coerce(weight)
     state = _prefix_state(w.m)
     return MembershipVerdict(w, state.failure is None, state.witnesses, state.failure)
-
-
-def _suffix_test(
-    gens: tuple[int, ...], q: int, tests: list[Callable[[int], bool]]
-) -> Callable[[int], bool]:
-    """Membership in the semigroup of gens[q:], three or more entries.
-
-    t is in it iff t - k*gens[q] passes ``tests[q + 1]`` for some k >= 0,
-    and the test searches those k.  The suffix's Apery table answers in one
-    lookup but holds gens[q] residues, so the searches share a budget of
-    gens[q] steps; a search that would overrun it builds the table instead,
-    puts it in ``tests[q]`` and answers from it.  A suffix that no target
-    reaches, or that is asked little, never gets a table, and no table is
-    built before the searches it replaces have taken as many steps.
-    """
-    g = gens[q]
-    budget = g
-
-    def search(t: int) -> bool:
-        nonlocal budget
-        if tests[q] is search:
-            inside = tests[q + 1]
-            needed = t // g + 1
-            steps = min(needed, budget)
-            for k in range(steps):
-                if inside(t - k * g):
-                    budget -= k + 1
-                    return True
-            budget -= steps
-            if steps == needed:
-                return False
-            table = semigroup.build_apery(gens[q:])
-            tests[q] = functools.partial(semigroup.is_representable, table)
-        return tests[q](t)
-
-    return search
-
-
-def _membership_tests(gens: tuple[int, ...]) -> list[Callable[[int], bool]]:
-    """Membership tests for the suffixes of gens: ``tests[q](t)`` tells
-    whether t >= 0 lies in the semigroup of gens[q:], for every suffix of two
-    or more entries, or of the one entry there is.  ``tests[0]`` is the test
-    for gens itself.
-
-    One entry g is a divisibility test.  The last two are solved in closed
-    form by ``semigroup.pair_membership``.  Each longer suffix is searched
-    by :func:`_suffix_test` over the test of the suffix after it.
-    """
-    if len(gens) == 1:
-        (g,) = gens
-        return [lambda t: t % g == 0]
-    in_pair = semigroup.pair_membership(*gens[-2:])
-    pair = len(gens) - 2
-    tests: list[Callable[[int], bool]] = [in_pair] * (pair + 1)
-    for q in range(pair):
-        tests[q] = _suffix_test(gens, q, tests)
-    return tests
 
 
 def _sum_solver(
@@ -414,13 +316,13 @@ def _sum_solver(
     sum(gens[r] * k[r]) == t, and sum(k) <= degree_bound when one is given.
 
     Before it descends into a value of k_q, the walk checks that the rest
-    of t lies in the semigroup of gens[q+1:], with :func:`_membership_tests`,
-    so every branch it enters holds a solution; with a degree bound it
-    enters no branch whose partial sum(k) already exceeds the bound.  The
-    last two coordinates are one arithmetic progression: from the least k_a
-    of the closed form, each step of b/d in k_a lowers k_b by a/d, and,
-    since a < b, raises k_a + k_b by (b - a)/d, so the terms within the
-    bound are a prefix of it.
+    of t lies in the semigroup of gens[q+1:], the q+1-th ``suffix`` of
+    ``semigroup.Semigroup(gens)``, so every branch it enters holds a
+    solution; with a degree bound it enters no branch whose partial sum(k)
+    already exceeds the bound.  The last two coordinates are one arithmetic
+    progression: from the least k_a of the pair's closed form, each step of
+    b/d in k_a lowers k_b by a/d, and, since a < b, raises k_a + k_b by
+    (b - a)/d, so the terms within the bound are a prefix of it.
     """
     if len(gens) == 1:
         (g,) = gens
@@ -433,14 +335,15 @@ def _sum_solver(
 
         return solve_one
 
-    a, b = gens[-2:]
-    d = math.gcd(a, b)
-    period = b // d
-    inverse = pow(a // d, -1, period)
+    # suffixes[q] is the semigroup of gens[q:], down to the last pair.
+    suffixes = [semigroup.Semigroup(gens)]
+    for _ in range(len(gens) - 2):
+        suffixes.append(suffixes[-1].suffix)
+    pair = len(gens) - 2
+    a, b = suffixes[pair].gens
+    d, period, inverse = suffixes[pair].d, suffixes[pair].period, suffixes[pair].inverse
     drop = a // d
     rise = period - drop
-    pair = len(gens) - 2
-    tests = _membership_tests(gens)
 
     def solve(t: int) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
@@ -449,7 +352,7 @@ def _sum_solver(
         # without a bound it is t, which no solution's sum(k) exceeds.
         def descend(q: int, t: int, head: tuple[int, ...], room: int) -> None:
             if q == pair:
-                # tests[pair](t) holds here, so d divides t and k_b starts >= 0.
+                # The pair contains t here, so d divides t and k_b starts >= 0.
                 k_a = t // d * inverse % period
                 k_b = (t - k_a * a) // b
                 stop = 0
@@ -460,13 +363,13 @@ def _sum_solver(
                     k_a += period
                     k_b -= drop
                 return
-            g, inside = gens[q], tests[q + 1]
+            g, inside = gens[q], suffixes[q + 1].contains
             for k in range(min(t // g, room) + 1):
                 rest = t - k * g
                 if inside(rest):
                     descend(q + 1, rest, (*head, k), room - k)
 
-        if tests[0](t):
+        if suffixes[0].contains(t):
             descend(0, t, (), t if degree_bound is None else degree_bound)
         return out
 
@@ -484,13 +387,14 @@ def resonances(weight, _degree_bound: int | None = None) -> list[ResonanceWitnes
 
     Cost: the walk over k enters only branches that hold a witness, so its
     time follows the number of witnesses listed, times the values of k_q
-    tried in each branch entered and the membership test of each.  A test
-    searches the next suffix until it has taken as many steps as the
-    suffix's Apery table has residues, and is then a lookup in that table.
-    Memory is at most one table per suffix of three or more entries of each
-    prefix m_1..m_{j-1}, built once per j and shared by every i, and no
-    table holds more residues than the steps already spent searching its
-    suffix: a suffix that no target reaches gets none.
+    tried in each branch entered and the membership test of each.  Each
+    test is ``contains`` of a ``semigroup.Semigroup`` made from a suffix of
+    the prefix m_1..m_{j-1}, which searches the next suffix until it has
+    taken as many steps as its Apery table has residues, and is then a
+    lookup in that table.  Memory is at most one table per suffix of three
+    or more entries of each prefix, built once per j and shared by every i,
+    and no table holds more residues than the steps already spent searching
+    its suffix: a suffix that no target reaches gets none.
     """
     w = _coerce(weight)
     m = w.m
@@ -525,12 +429,16 @@ def scan(
     obstruction-set size of each level's window.
 
     One depth-first walk over prefixes: an entry m_j is judged against its
-    prefix alone, so each prefix's verdict, Apery table, coin-change counts
+    prefix alone, so each prefix's verdict, semigroup, coin-change counts
     and window sizes are made once and shared by all its extensions.  They
-    live only while that prefix is being extended.  Both filters hold for a
-    weight only if they hold for each of its prefixes (a failure is final and
-    the witnesses of a prefix are witnesses of the weight), so they prune
-    whole subtrees.
+    live only while that prefix is being extended.  Each prefix's
+    ``semigroup.Semigroup`` is its parent's ``child``, so a prefix of three
+    or more entries derives its Apery table from its parent's in one pass
+    and answers every test by a lookup in it; a two-entry prefix answers in
+    closed form and builds its table only for a child.  Both filters hold
+    for a weight only if they hold for each of its prefixes (a failure is
+    final and the witnesses of a prefix are witnesses of the weight), so
+    they prune whole subtrees.
     """
     n, max_weight = operator.index(n), operator.index(max_weight)
     if n < 2:
@@ -561,7 +469,7 @@ def scan(
                 if window is not None:
                     size = window_sizes.get(window)
                     if size is None:
-                        size = window_sizes[window] = prefix.window(window).size
+                        size = window_sizes[window] = prefix.group.window(window).size
                 level_sizes = (*sizes, size)
             else:
                 level_sizes = sizes
@@ -570,11 +478,11 @@ def scan(
                     ScanRow((*prefix.entries, m), witnesses, failure, count, level_sizes)
                 )
             else:
-                child = _Prefix((*prefix.entries, m), witnesses, failure, prefix)
+                child = _Prefix(prefix.group.child(m), witnesses, failure)
                 walk(child, m_gcd, extend_ways(ways, m), count, level_sizes)
 
     for first in range(1, max_weight - n + 2):
-        walk(_Prefix((first,)), first, extend_ways(unit, first), 0, ())
+        walk(_Prefix(semigroup.Semigroup((first,))), first, extend_ways(unit, first), 0, ())
     return rows
 
 

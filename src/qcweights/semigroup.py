@@ -1,4 +1,5 @@
-"""Exact numerical-semigroup membership: the Apery engine and its oracle.
+"""Exact numerical-semigroup membership: one ``Semigroup`` value per
+generator tuple, the Apery engine under it, and the sieve oracle.
 
 The Apery table stores, per residue class modulo the smallest generator,
 the least representable integer, so :func:`is_representable` answers "is t
@@ -9,11 +10,9 @@ semigroup's nonzero elements minus its minimal generators, so the window
 pass reads each class's progression tail inside the window, in
 O(m_1 + output) time and memory for any window index.
 
-Two generators a < b need no table: the least elements of the classes
-modulo a are the multiples k*b, 0 <= k < a/gcd(a, b).  So
-:func:`pair_membership` answers membership in closed form, and
-:func:`pair_window` walks only the multiples of b below the window top,
-in time and memory that follow the output.
+:class:`Semigroup` answers membership and windows for one generator
+tuple: by divisibility for one generator, in closed form for two, and from
+the table, or a budgeted search before it, for three or more.
 
 The sieve, a forward dynamic program over 0..bound, is kept only as the
 independent oracle the tests compare the Apery engine against; the
@@ -23,9 +22,9 @@ imported on its first call only.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -96,17 +95,10 @@ def build_apery(generators) -> AperyTable:
     adds the others one at a time with :func:`extend_apery`.
     """
     gens = _check_generators(generators)
-    if len(gens) == 1:
-        return cyclic_apery(gens[0])
-    table = _pair_apery(*gens[:2])
+    table = Semigroup(gens[:2]).table
     for g in gens[2:]:
         table = extend_apery(table, g)
     return table
-
-
-def cyclic_apery(m: int) -> AperyTable:
-    """The table of the semigroup generated by m alone: only multiples of m."""
-    return AperyTable(generators=(m,), modulus=m, least=(0,) + (None,) * (m - 1))
 
 
 def extend_apery(table: AperyTable, g: int) -> AperyTable:
@@ -116,8 +108,7 @@ def extend_apery(table: AperyTable, g: int) -> AperyTable:
     the money changing problem", 2007).  Adding g links residue r to
     (r + g) mod m, which splits the residues into gcd(m, g) cycles, each the
     residues of one class modulo gcd(m, g).  Walking a cycle once from its
-    least label relaxes every label in it, so the pass costs O(m).  On a
-    one-generator table the pass has the closed form of :func:`_pair_apery`.
+    least label relaxes every label in it, so the pass costs O(m).
     """
     g = operator.index(g)
     gens = table.generators
@@ -125,8 +116,6 @@ def extend_apery(table: AperyTable, g: int) -> AperyTable:
         return table
     if g < table.modulus:
         return build_apery((*gens, g))
-    if len(gens) == 1:
-        return _pair_apery(table.modulus, g)
     modulus = table.modulus
     least = list(table.least)
     cycles = math.gcd(modulus, g)
@@ -153,38 +142,6 @@ def extend_apery(table: AperyTable, g: int) -> AperyTable:
     return AperyTable(generators=tuple(sorted((*gens, g))), modulus=modulus, least=tuple(least))
 
 
-def _pair_apery(m: int, g: int) -> AperyTable:
-    """The table of <m, g> for m < g: Ap = {k*g : 0 <= k < m / d}, d = gcd(m, g).
-
-    Adding multiples of m keeps the class, so the least element of a class
-    is its least multiple of g; the m/d multiples below (m/d)*g fall in
-    distinct classes, the multiples of d, and the others stay unreachable.
-    """
-    least: list[int | None] = [None] * m
-    for value in range(0, m // math.gcd(m, g) * g, g):
-        least[value % m] = value
-    return AperyTable(generators=(m, g), modulus=m, least=tuple(least))
-
-
-def pair_membership(a: int, b: int) -> Callable[[int], bool]:
-    """Membership in <a, b>, a < b, in closed form: the returned test tells
-    whether an integer t lies in the semigroup (false for every t < 0).
-
-    With d = gcd(a, b), a*k_a + b*k_b = t holds exactly for k_a in one
-    residue class modulo b/d, the least of which is (t/d) * (a/d)^-1 mod
-    b/d, so t is in <a, b> iff d divides t and that least k_a has
-    a*k_a <= t.
-    """
-    d = math.gcd(a, b)
-    period = b // d
-    inverse = pow(a // d, -1, period)
-
-    def in_pair(t: int) -> bool:
-        return t % d == 0 and t // d * inverse % period * a <= t
-
-    return in_pair
-
-
 def _check_window(M: int) -> int:
     M = operator.index(M)
     if M < 1:
@@ -192,23 +149,135 @@ def _check_window(M: int) -> int:
     return M
 
 
-def pair_window(a: int, b: int, M: int) -> ObstructionSet:
-    """The obstruction set of window M over the prefix (a, b), a < b, with
-    no table.
+class Semigroup:
+    """The numerical semigroup of a generator tuple.
 
-    It is what :func:`obstruction_set_fast` returns from the pair's Apery
-    table, whose classes modulo a start at k*b for k < a/gcd(a, b).  The
-    pass walks only the k*b below the window top, so it takes
-    O(min(a, M) + output) time and memory.  Its minimal generators are a,
-    and b unless a divides b.
+    ``contains(t)`` tells whether t is a nonnegative combination of the
+    generators, and is false for every t < 0.  ``window(M)`` is the
+    obstruction set of window M over the generators, ``table`` their Apery
+    table and ``suffix`` the semigroup of gens[1:]; both are made on first
+    use.  ``contains`` is chosen when the value is made, so each test is
+    one call:
+
+    - one generator g: divisibility by g;
+    - two, a < b: with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for
+      k_a in one residue class modulo ``period`` = b/d, the least of which
+      is (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.
+      So t is in <a, b> iff d divides t and that least k_a has a*k_a <= t.
+      The pair's ``d``, ``period`` and ``inverse`` are kept for callers
+      that walk the solutions;
+    - three or more: t is in it iff t - k*gens[0] lies in ``suffix`` for
+      some k >= 0, and the test searches those k.  The searches share a
+      budget; a search that would overrun it builds the table instead, and
+      every later test is a lookup in it.  A value made from a bare tuple
+      has a budget of gens[0] steps, as many as the table has residues, so
+      a value that is asked little never gets a table, and its table comes
+      from :func:`build_apery`.  A value made by ``parent.child(g)`` has no
+      budget: its first test derives its table from the parent's with
+      :func:`extend_apery`, so a walk over prefixes that asks many tests of
+      each builds each table once, and never a suffix.
     """
-    a, b, M = operator.index(a), operator.index(b), _check_window(M)
-    if not 0 < a < b:
-        raise ValueError(f"need 0 < a < b, got ({a}, {b})")
-    lo, hi = window_interval(a + b, M)
-    starts = range(0, min(a // math.gcd(a, b) * b, hi), b)
-    minimal = {a} if b % a == 0 else {a, b}
-    return _window((a, b), M, lo, hi, a, starts, minimal)
+
+    __slots__ = (
+        "gens", "contains", "d", "period", "inverse", "_parent", "_table", "_suffix", "_budget"
+    )
+
+    def __init__(self, generators, parent: Semigroup | None = None) -> None:
+        # A child's generators are its parent's, checked, and one above them.
+        gens = self.gens = _check_generators(generators) if parent is None else generators
+        self._parent = parent
+        self._table: AperyTable | None = None
+        self._suffix: Semigroup | None = None
+        if len(gens) == 1:
+            (g,) = gens
+            self.contains = lambda t: t >= 0 and t % g == 0
+        elif len(gens) == 2:
+            a, b = gens
+            d = self.d = math.gcd(a, b)
+            period = self.period = b // d
+            inverse = self.inverse = pow(a // d, -1, period)
+
+            def in_pair(t: int) -> bool:
+                return t % d == 0 and t // d * inverse % period * a <= t
+
+            self.contains = in_pair
+        else:
+            self._budget = gens[0] if parent is None else 0
+            self.contains = self._search
+
+    def child(self, g: int) -> Semigroup:
+        """The semigroup with g, above every generator, added; its table is
+        derived from this one's."""
+        g = operator.index(g)
+        if g <= self.gens[-1]:
+            raise ValueError(f"a child's generator must exceed {self.gens[-1]}, got {g}")
+        return Semigroup((*self.gens, g), self)
+
+    @property
+    def table(self) -> AperyTable:
+        """The Apery table, built on first use."""
+        if self._table is None:
+            gens = self.gens
+            if len(gens) > 2:
+                if self._parent is None:
+                    self._table = build_apery(gens)
+                else:
+                    self._table = extend_apery(self._parent.table, gens[-1])
+            else:
+                # Adding multiples of a keeps the class, so the least element
+                # of a class is its least multiple of b; the a/gcd(a, b)
+                # multiples below (a/gcd(a, b))*b fall in distinct classes,
+                # the multiples of the gcd, and the others stay unreachable.
+                # One generator is the case b = a.
+                a, b = gens[0], gens[-1]
+                least: list[int | None] = [None] * a
+                for value in range(0, a // math.gcd(a, b) * b, b):
+                    least[value % a] = value
+                self._table = AperyTable(generators=gens, modulus=a, least=tuple(least))
+        return self._table
+
+    @property
+    def suffix(self) -> Semigroup:
+        """The semigroup of gens[1:], made on first use from the bare tuple."""
+        if self._suffix is None:
+            self._suffix = Semigroup(self.gens[1:])
+        return self._suffix
+
+    def _search(self, t: int) -> bool:
+        if t < 0:
+            return False
+        if self._table is None:
+            g = self.gens[0]
+            needed = t // g + 1
+            steps = min(needed, self._budget)
+            if steps:
+                inside = self.suffix.contains
+                for k in range(steps):
+                    if inside(t - k * g):
+                        self._budget -= k + 1
+                        return True
+                self._budget -= steps
+                if steps == needed:
+                    return False
+            self.contains = functools.partial(is_representable, self.table)
+        return is_representable(self._table, t)
+
+    def window(self, M: int) -> ObstructionSet:
+        """The obstruction set of window M over the generators.
+
+        Two generators a < b walk only the multiples k*b, k < a/gcd(a, b),
+        below the window top, in O(min(a, M) + output) time and memory; their
+        minimal generators are a, and b unless a divides b.  Any other count
+        reads the table with :func:`obstruction_set_fast`.
+        """
+        M = _check_window(M)
+        if len(self.gens) != 2:
+            return obstruction_set_fast(self.gens, M, self.table)
+        a, b = self.gens
+        lo, hi = window_interval(a + b, M)
+        starts = range(0, min(a // self.d * b, hi), b)
+        minimal = {a} if b % a == 0 else {a, b}
+        return _window(self.gens, M, lo, hi, a, starts, minimal)
 
 
 def _window(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -365,6 +366,83 @@ class TestScanCommand:
     def test_bad_bounds(self, capsys):
         assert run_cli(["scan", "--n", "1", "--max", "5"], capsys)[0] == 1
         assert run_cli(["scan", "--n", "3", "--max", "2"], capsys)[0] == 1
+
+
+# sha256 of each output with its elapsed_ms line removed, and the exit code,
+# recorded before the semigroup engine became one Semigroup value.  The scan
+# rows of length 4 read tables derived from their parent prefix's; the other
+# commands answer three-entry prefixes by a budgeted search or a table.
+_PINNED = {
+    ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "text"):
+        (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "json"):
+        (0, "0b232eaa754aac0934489b5d9dcf26776b02b74d55d9adbaad526a05d84aaba0"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "csv"):
+        (0, "7a176a2d991ad7ea13e661f7f130ee3041a2623bd316993fc841254e70e7df49"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "resonance-free", "--format", "text"):
+        (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "resonance-free", "--format", "json"):
+        (0, "616dcc35f3116ebdd9464dc52ac6f230e9677afefbd4974251a647e4e9cb4ce4"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "resonance-free", "--format", "csv"):
+        (0, "7a176a2d991ad7ea13e661f7f130ee3041a2623bd316993fc841254e70e7df49"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "both", "--format", "text"):
+        (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "both", "--format", "json"):
+        (0, "60f3b8b0ebf264520ffd35a92846f2cef73a1fe87a25b9bb420dbdfc521ae803"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "both", "--format", "csv"):
+        (0, "7a176a2d991ad7ea13e661f7f130ee3041a2623bd316993fc841254e70e7df49"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "disagree", "--format", "text"):
+        (0, "eae837fe86d21f7c707d9e3be0bfbe70f9c93743a29f645ab084783ba829d1e0"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "disagree", "--format", "json"):
+        (0, "61d27ba3449f37480495c0731f6eb4ed715c472ffeca947e2448fd4a890aa781"),
+    ("scan", "--n", "4", "--max", "14", "--filter", "disagree", "--format", "csv"):
+        (0, "1b467f1ee5a6d7026f9fed274de6aa114f6a5f32864ef87d26f91f56b7209493"),
+    ("iset", "3", "5", "7", "--M", "1"):
+        (0, "319ea271270d15dea5bdc42f9a715a32022bd7a89ffcc18d042bf0bf77b3e1c0"),
+    ("iset", "3", "5", "7", "--M", "1", "--format", "json"):
+        (0, "b3ef3296b55f766c26180fb553e66fedb3d6eb4c225cd998af91c2f718ed8210"),
+    ("iset", "3", "5", "7", "--M", "2"):
+        (0, "26e4ef33a63c9a44c049c6ff6df70c075213fa367d57fddd1b648a07d0040f99"),
+    ("iset", "3", "5", "7", "--M", "2", "--format", "json"):
+        (0, "fa42a2adb37288443299ff4ed01a21e647baaea2c0ce48cdd9e64210c6cec295"),
+    ("iset", "3", "5", "7", "--M", "5"):
+        (0, "ee58b515d7af5ae5de934f4d0c7c8431fcc444cec7057cfa4b2c1fe03afdf3a1"),
+    ("iset", "3", "5", "7", "--M", "5", "--format", "json"):
+        (0, "74c30efd7b938c8cf98da1762741d75a6e9568ef84ba0d4d3e826d793a7c8b1d"),
+    ("enumerate", "3", "5", "7", "--M", "2"):
+        (0, "9b21a7f52715ef14a011aa466b5bcd60b302bd6ccd286b4c9a7ec9ea79359029"),
+    ("enumerate", "3", "5", "7", "--M", "2", "--format", "json"):
+        (0, "26dc53c8de617cfc2b21b4830a745496d5e210ec58f8748295789235870664c0"),
+    ("classify", "6", "8", "10", "1000001"):
+        (0, "7634e272bf249b3f3a260b32e7e837313fd60d6738887720ddb7d8608e38ccc4"),
+    ("classify", "6", "8", "10", "1000001", "--format", "json"):
+        (0, "267163132fd81e98f5e56ec647768b2536a6c4100d4a43c6e89adf695ee42bc1"),
+    ("classify", "5", "12", "18", "1000003"):
+        (3, "e07145cd20698b713750360d720df64f046c8b377d84ba67094846a9f7a72ec4"),
+    ("classify", "5", "12", "18", "1000003", "--format", "json"):
+        (3, "310c07206f0903e5a0a0309121aa2b7d33ae5b3430b048eba2e2690d7249a26d"),
+    ("classify", "5", "12", "18", "1000001"):
+        (3, "4182970c2a8a31ca73057f5be44f084979197c60e75494541aa6cf718929bbbd"),
+    ("classify", "5", "12", "18", "1000001", "--format", "json"):
+        (3, "4bfb6d2c77efaea722026dd2c4b7ffcc498af6ecf541a8a8526493b4caf068a3"),
+    ("classify", "3", "10", "11", "1000001"):
+        (3, "c03c15b4f7869d922055c08b83a9c764cdb1ebb2c5793c86aa3c9ac28aae2a9f"),
+    ("classify", "3", "10", "11", "1000001", "--format", "json"):
+        (3, "4dca1fb8cd7405b5319f567d1b4b1122c1d1bd0f8c284bd9cf8d552becce59d5"),
+    ("classify", "999983", "999989", "1999973", "4999999"):
+        (0, "2b2b8cb6305dec2f0a3dabf54fa5aee171c3be0d6a31431db2d783f3bbccbec6"),
+    ("classify", "999983", "999989", "1999973", "4999999", "--format", "json"):
+        (0, "8c2c3ece62ac16b7aec37ecfe34f5e4d4588f08bad754010e3deffe44614ae0b"),
+}
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("argv", list(_PINNED), ids=" ".join)
+    def test_output_digest(self, capsys, argv):
+        code, out, err = run_cli(list(argv), capsys)
+        digest = hashlib.sha256(strip_elapsed(out).encode()).hexdigest()
+        assert (code, digest) == _PINNED[argv]
+        assert err == ""
 
 
 class TestInternalMismatchWiring:

@@ -26,6 +26,25 @@ from oracles import (
 )
 
 
+def table_calls(monkeypatch, stub=False):
+    """Count calls to ``semigroup.build_apery`` and ``extend_apery`` and every
+    Apery table made, keyed ``tables of <number of generators>``.  Each call
+    goes through unless ``stub`` is set, when it returns None at once."""
+    calls = Counter()
+    for name in ("build_apery", "extend_apery", "AperyTable"):
+        fn = getattr(semigroup, name)
+
+        def counted(*args, name=name, fn=fn, **fields):
+            key = name
+            if name == "AperyTable":
+                key = f"tables of {len(fields['generators'])}"
+            calls.update([key])
+            return None if stub else fn(*args, **fields)
+
+        monkeypatch.setattr(semigroup, name, counted)
+    return calls
+
+
 @st.composite
 def small_weights(draw, max_n=4, max_entry=30):
     n = draw(st.integers(2, max_n))
@@ -334,12 +353,12 @@ class TestIsInClass:
         # off tables derived prefix by prefix, as the scan reads it.
         for j in range(3, len(m) + 1):
             table = semigroup.build_apery(m[: j - 1])
-            assert core._membership_tests(m[: j - 1])[0](m[j - 1]) == (
+            assert semigroup.Semigroup(m[: j - 1]).contains(m[j - 1]) == (
                 semigroup.is_representable(table, m[j - 1])
             ), (m, j)
-        state = core._Prefix(m[:1])
+        state = core._Prefix(semigroup.Semigroup(m[:1]))
         for j in range(2, len(m) + 1):
-            state = core._Prefix(m[:j], *state.judge(m[j - 1]), state)
+            state = core._Prefix(state.group.child(m[j - 1]), *state.judge(m[j - 1]))
         verdict = core.is_in_class(m)
         assert (verdict.witnesses, verdict.failure) == (state.witnesses, state.failure)
 
@@ -383,11 +402,7 @@ class TestIsInClass:
     def test_million_scale_verdict_builds_no_table(self, monkeypatch, m, witnesses, failure):
         # A table of these prefixes would hold about 10**6 residues; the
         # closed form and a few search steps answer instead.
-        calls = Counter()
-        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
-            monkeypatch.setattr(
-                semigroup, name, lambda *args, name=name: calls.update([name])
-            )
+        calls = table_calls(monkeypatch, stub=True)
         tracemalloc.start()
         try:
             verdict = core.is_in_class(m)
@@ -474,13 +489,14 @@ class TestResonances:
             steps.append(t)
             return any((t - 22 * a) % 24 == 0 for a in range(t // 22 + 1))
 
-        tests = [None, in_tail]
-        search = tests[0] = core._suffix_test((20, 22, 24), 0, tests)
+        group = semigroup.Semigroup((20, 22, 24))
+        group.suffix.contains = in_tail
+        search = group.contains
         assert search(64) and search(42) and not search(2)
         for t in range(21, 100, 2):
             assert not search(t)
         assert len(steps) <= 20
-        assert tests[0] is not search
+        assert group.contains is not search
         members = {20 * a + 22 * b + 24 * c for a in range(5) for b in range(5) for c in range(5)}
         assert [t for t in range(100) if search(t)] == sorted(t for t in members if t < 100)
         assert built == [(20, 22, 24)]
@@ -649,14 +665,7 @@ class TestEnumerateAdmissible:
         # The window pass walks the pair's classes in closed form, and the
         # re-check of each gap answers membership in closed form: no table.
         expected = [s for s in core.obstruction_set((1009, 1013), 2).gaps() if s > 1013]
-        calls = Counter()
-        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
-            fn = getattr(semigroup, name)
-            monkeypatch.setattr(
-                semigroup,
-                name,
-                lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
-            )
+        calls = table_calls(monkeypatch)
         assert core.enumerate_admissible((1009, 1013), 2) == expected
         assert calls == Counter()
 
@@ -721,11 +730,7 @@ class TestLargeInputs:
         # The window-2 set that count 199039 199049 reads: four multiples of
         # 199049 start classes below the window top, and no table of 199,039
         # residues is built.
-        calls = Counter()
-        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
-            monkeypatch.setattr(
-                semigroup, name, lambda *args, name=name: calls.update([name])
-            )
+        calls = table_calls(monkeypatch, stub=True)
         tracemalloc.start()
         try:
             iset = core.obstruction_set((199039, 199049), 2)
@@ -738,19 +743,14 @@ class TestLargeInputs:
 
     def test_length_3_scan_builds_no_table(self, monkeypatch):
         # Every prefix a length-3 scan extends has two entries, so its
-        # verdicts and window sizes are answered in closed form.
-        calls = Counter()
-        for name in ("build_apery", "extend_apery", "_pair_apery", "cyclic_apery"):
-            fn = getattr(semigroup, name)
-            monkeypatch.setattr(
-                semigroup,
-                name,
-                lambda *args, name=name, fn=fn: calls.update([name]) or fn(*args),
-            )
+        # verdicts and window sizes are answered in closed form.  A length-4
+        # scan makes each pair table in closed form, for a three-entry child
+        # to derive its own from; no table is built from scratch.
+        calls = table_calls(monkeypatch)
         assert core.scan(3, 30)
         assert calls == Counter()
         core.scan(4, 12)
-        assert set(calls) == {"_pair_apery", "extend_apery"}
+        assert calls == Counter({"tables of 2": 45, "extend_apery": 165, "tables of 3": 165})
 
 
 class TestShiftMapMonotonicity:

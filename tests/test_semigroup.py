@@ -127,9 +127,9 @@ class TestBuildApery:
     @settings(deadline=None, max_examples=60)
     @given(st.integers(1, 40), st.integers(1, 80))
     def test_first_extension_matches_sieve(self, m, g):
-        # The closed form of a one-generator table, also reached through a
-        # new smallest generator (g < m); g == m repeats the generator.
-        extended = semigroup.extend_apery(semigroup.cyclic_apery(m), g)
+        # The pass from a one-generator table, or the pair's closed form
+        # through a new smallest generator (g < m); g == m repeats it.
+        extended = semigroup.extend_apery(semigroup.build_apery((m,)), g)
         all_gens = tuple(sorted({m, g}))
         assert extended.generators == all_gens
         assert extended.least == sieve_least(all_gens)
@@ -140,7 +140,7 @@ class TestBuildApery:
         expected = [None] * m
         for k in reversed(range(m)):
             expected[k * g % m] = k * g
-        extended = semigroup.extend_apery(semigroup.cyclic_apery(m), g)
+        extended = semigroup.extend_apery(semigroup.build_apery((m,)), g)
         assert extended.least == tuple(expected)
         assert all(type(v) is int for v in extended.least if v is not None)
 
@@ -163,8 +163,8 @@ def sieve_member(least, modulus, t):
 
 
 class TestPairClosedForm:
-    """The table-free pair window and pair membership against the sieve and
-    the nested-loop oracle."""
+    """The table-free window and membership of a two-generator
+    ``Semigroup`` against the sieve and the nested-loop oracle."""
 
     @settings(deadline=None, max_examples=60)
     @given(pairs, st.integers(1, 3))
@@ -173,7 +173,7 @@ class TestPairClosedForm:
     @example((1, 5), 1)
     @example((4, 6), 1)
     def test_window_matches_sieve_and_oracle(self, pair, window):
-        got = semigroup.pair_window(*pair, window)
+        got = semigroup.Semigroup(pair).window(window)
         expected = sieve_window(pair, window)
         assert got == expected
         assert list(got.elements) == oracle_window_elements(pair, window)
@@ -184,7 +184,7 @@ class TestPairClosedForm:
     @given(pairs, st.data())
     def test_shifted_window_matches_sieve(self, pair, data):
         window = data.draw(st.integers(4, 10**5 // sum(pair)))
-        got = semigroup.pair_window(*pair, window)
+        got = semigroup.Semigroup(pair).window(window)
         assert got == sieve_window(pair, window)
         assert got.gaps() == sieve_window(pair, window).gaps()
 
@@ -195,7 +195,7 @@ class TestPairClosedForm:
         # least element, as the sieve gives it, and all larger ones.
         window += 2**63
         least = sieve_least(pair)
-        got = semigroup.pair_window(*pair, window)
+        got = semigroup.Semigroup(pair).window(window)
         lo, hi = got.interval
         assert (lo, hi) == ((window - 1) * sum(pair), window * sum(pair))
         expected = [t for t in range(lo + 1, hi) if sieve_member(least, pair[0], t)]
@@ -207,7 +207,7 @@ class TestPairClosedForm:
     @example((2, 4), 1)
     @example((3, 9), 1)
     def test_membership_matches_sieve(self, pair, far):
-        contains = semigroup.pair_membership(*pair)
+        contains = semigroup.Semigroup(pair).contains
         bound = pair[0] * pair[1] + 1
         sieve = semigroup.build_sieve(pair, bound)
         for t in range(-pair[1], bound + 1):
@@ -218,7 +218,7 @@ class TestPairClosedForm:
 
     def test_membership_matches_oracle(self):
         for a, b in combinations(range(1, 13), 2):
-            contains = semigroup.pair_membership(a, b)
+            contains = semigroup.Semigroup((a, b)).contains
             for t in range(40):
                 assert contains(t) == oracle_representable((a, b), t), (a, b, t)
 
@@ -227,13 +227,13 @@ class TestPairClosedForm:
     @example((2, 4))
     @example((6, 10))
     def test_pair_apery_matches_sieve(self, pair):
-        table = semigroup._pair_apery(*pair)
+        table = semigroup.Semigroup(pair).table
         assert table.generators == pair
         assert table.least == sieve_least(pair)
 
     def test_window_reference(self):
         # Window 2 over (5, 7): seven blocked values, four admissible gaps.
-        iset = semigroup.pair_window(5, 7, 2)
+        iset = semigroup.Semigroup((5, 7)).window(2)
         assert iset.elements == (14, 15, 17, 19, 20, 21, 22)
         assert iset.gaps() == (13, 16, 18, 23)
 
@@ -241,7 +241,7 @@ class TestPairClosedForm:
         # Of the 199,039 classes modulo a, four start below the window top.
         tracemalloc.start()
         try:
-            iset = semigroup.pair_window(199039, 199049, 2)
+            iset = semigroup.Semigroup((199039, 199049)).window(2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -250,8 +250,113 @@ class TestPairClosedForm:
 
     @pytest.mark.parametrize("a, b, M", [(5, 5, 1), (7, 5, 1), (0, 5, 1), (3, 5, 0)])
     def test_bad_arguments(self, a, b, M):
+        # A pair is made from a generator a >= 1 and a child b > a, and asked
+        # for a window M >= 1.
         with pytest.raises(ValueError):
-            semigroup.pair_window(a, b, M)
+            semigroup.Semigroup((a,)).child(b).window(M)
+
+
+# One to five generators up to 36, two thirds of them scaled by 2 or 3 so
+# that the gcd exceeds 1.
+generator_tuples = st.builds(
+    lambda entries, factor: tuple(sorted(factor * e for e in entries)),
+    st.sets(st.integers(1, 12), min_size=1, max_size=5),
+    st.integers(1, 3),
+)
+
+
+def derived(gens):
+    """The value of gens made as the scan makes it, one child at a time, so
+    a value of three or more generators derives its table from its parent's."""
+    group = semigroup.Semigroup(gens[:1])
+    for g in gens[1:]:
+        group = group.child(g)
+    return group
+
+
+def searched_only(gens):
+    """A value made from the bare tuple whose searches, on every level of
+    three or more generators, never run out of budget; and those levels."""
+    group = semigroup.Semigroup(gens)
+    levels = []
+    level = group
+    while len(level.gens) > 2:
+        level._budget = 10**18
+        levels.append(level)
+        level = level.suffix
+    return group, levels
+
+
+class TestSemigroup:
+    """Every way of making a ``Semigroup`` against the sieve and the
+    nested-loop oracles, and against each other."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(generator_tuples)
+    @example((4,))
+    @example((2, 4))
+    @example((6, 10, 15))
+    @example((3, 6, 9, 12, 15))
+    def test_contains_matches_sieve(self, gens):
+        # Every least value lies below modulus * max generator.
+        bound = gens[0] * gens[-1] + 1
+        sieve = semigroup.build_sieve(gens, bound)
+        bare, kid = semigroup.Semigroup(gens), derived(gens)
+        searched, levels = searched_only(gens)
+        for t in range(-gens[-1], bound + 1):
+            expected = sieve_contains(sieve, t)
+            assert bare.contains(t) == expected, t
+            assert kid.contains(t) == expected, t
+            assert searched.contains(t) == expected, t
+        assert all(level._table is None for level in levels)
+        # A child looks every test up in its derived table, never searching.
+        assert kid._suffix is None
+        assert kid.table == semigroup.build_apery(gens)
+        assert bare.table == kid.table
+
+    def test_contains_matches_oracle(self):
+        for size in (1, 2, 3):
+            for gens in combinations(range(1, 9), size):
+                bare, kid = semigroup.Semigroup(gens), derived(gens)
+                for t in range(-3, 30):
+                    expected = oracle_representable(gens, t)
+                    assert bare.contains(t) == kid.contains(t) == expected, (gens, t)
+
+    @settings(deadline=None, max_examples=80)
+    @given(generator_tuples, st.integers(1, 3))
+    @example((4,), 1)
+    @example((2, 4), 1)
+    @example((3, 9), 1)
+    @example((4, 6), 2)
+    @example((3, 6, 9), 1)
+    @example((6, 10, 15), 1)
+    def test_window_matches_sieve_and_oracle(self, gens, window):
+        got = semigroup.Semigroup(gens).window(window)
+        assert got == sieve_window(gens, window)
+        assert got == derived(gens).window(window)
+        if len(gens) <= 3:
+            assert list(got.elements) == oracle_window_elements(gens, window)
+
+    @pytest.mark.parametrize("gens", [(3,), (3, 5), (4, 6), (20, 22, 24), (6, 10, 15, 21)])
+    def test_negative_targets_spend_nothing(self, monkeypatch, gens):
+        # False at once, on every path, with no search step and no table.
+        built = []
+        table = semigroup.AperyTable
+        monkeypatch.setattr(
+            semigroup, "AperyTable", lambda **fields: built.append(fields) or table(**fields)
+        )
+        group = semigroup.Semigroup(gens)
+        budget = getattr(group, "_budget", None)
+        for t in (-1, -gens[0], -gens[0] - 1, -100, -(10**30)):
+            assert group.contains(t) is False, t
+        assert getattr(group, "_budget", None) == budget
+        assert group._table is None and group._suffix is None
+        assert built == []
+        assert derived(gens).contains(-1) is False
+
+    def test_child_must_extend_upwards(self):
+        with pytest.raises(ValueError, match="exceed"):
+            semigroup.Semigroup((3, 5)).child(4)
 
 
 class TestRepresentability:

@@ -3,6 +3,7 @@ reads its counted work off their results.  These tests keep that surface in
 place, since the tracer's own tests are not part of the default suite."""
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -38,3 +39,20 @@ def test_traced_results_carry_the_work_fields(spans):
     iset = semigroup.obstruction_set_fast((3, 5), 2, semigroup.build_apery((3, 5)))
     assert iset.interval == (8, 16)
     assert spans._work("semigroup.obstruction_set_fast", iset) == (7, None)
+
+
+def test_engine_calls_go_through_the_module_attributes(monkeypatch):
+    # The tracer sees a call only if the program makes it through
+    # ``semigroup.<name>``; a call bound elsewhere would leave the per-layer
+    # view silently empty.
+    calls = Counter()
+    for attr in ("build_apery", "extend_apery", "obstruction_set_fast"):
+        fn = getattr(semigroup, attr)
+        monkeypatch.setattr(
+            semigroup, attr, lambda *args, attr=attr, fn=fn: calls.update([attr]) or fn(*args)
+        )
+    core.obstruction_set((3, 5, 7), 2)
+    assert calls == Counter(build_apery=1, extend_apery=1, obstruction_set_fast=1)
+    calls.clear()
+    core.scan(4, 12)
+    assert calls == Counter(extend_apery=165, obstruction_set_fast=181)
