@@ -12,9 +12,9 @@ Output is streamed: every format is an iterable of chunks written to the
 ``--out`` file or to stdout as it is made, so no whole document is held.
 The envelope and its result are written key by key.  The two arrays that
 can hold tens of thousands of items, scan rows and resonance witnesses, are
-written one item at a time through a ``%``-template per item shape, made
-once from ``_render_json`` and cached, so an item costs one ``%`` call and
-no intermediate dict.
+rendered through a ``%``-template per item shape, made once from
+``_render_json`` and cached, so an item costs one ``%`` call and no
+intermediate dict, and are written ``_ITEM_CHUNK`` items per chunk.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -81,6 +81,10 @@ _backend_option = click.option(
 # as one string.
 _INT_CHUNK = 4096
 
+# A ``_Templated`` array, scan rows or resonance witnesses of a few hundred
+# bytes each, is written this many items per chunk.
+_ITEM_CHUNK = 256
+
 
 def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
@@ -132,7 +136,7 @@ def _template(value, indent: str) -> str:
 
 
 class _Templated:
-    """A result array that is written one item at a time.
+    """A result array whose items are rendered one at a time.
 
     ``render(item, indent)`` returns the item's JSON at that indent; the
     writer joins the items as ``_render_json`` joins an array's.
@@ -150,9 +154,9 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
 
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
-    writes a dict key by key, a ``_Templated`` array item by item and a flat
-    integer array ``_INT_CHUNK`` items at a time, and leaves only floats to
-    ``json.dumps``.
+    writes a dict key by key, a ``_Templated`` array ``_ITEM_CHUNK`` items
+    and a flat integer array ``_INT_CHUNK`` items at a time, and leaves only
+    floats to ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -174,8 +178,9 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
         head = "[" + inner
         if type(value) is _Templated:
             render = value.render
-            for item in items:
-                yield head + render(item, inner)
+            for start in range(0, len(items), _ITEM_CHUNK):
+                chunk = items[start : start + _ITEM_CHUNK]
+                yield head + sep.join([render(item, inner) for item in chunk])
                 head = sep
         # type() rather than isinstance: bools render as true and false.
         elif {*map(type, items)} == {int}:
@@ -530,12 +535,13 @@ def _scan_row_template(
 
 
 def _scan_row_json(row: ScanRow, indent: str) -> str:
-    failure = row.failure
-    sizes = ["null" if s is None else s for s in row.i_set_sizes]
+    weight, witnesses, failure, n_resonances, sizes = row
+    if None in sizes:
+        sizes = ["null" if s is None else s for s in sizes]
     template = _scan_row_template(
-        len(row.weight), len(row.witnesses), len(sizes), failure is not None, indent
+        len(weight), len(witnesses), len(sizes), failure is not None, indent
     )
-    values = (*sizes, row.n_resonances, *row.weight, *row.witnesses)
+    values = (*sizes, n_resonances, *weight, *witnesses)
     if failure is None:
         return template % values
     return template % (failure.level, encode_basestring_ascii(failure.reason), *values)

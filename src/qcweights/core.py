@@ -421,6 +421,20 @@ def extend_ways(ways: list[int], part: int) -> list[int]:
     return out
 
 
+def _cached_size(
+    group: semigroup.Semigroup, window_sizes: dict[int, int], sigma: int, m: int
+) -> int | None:
+    # The obstruction-set size of the window over the prefix that holds m,
+    # cached by window index below m // sigma; None where sigma divides m.
+    below, rest = divmod(m, sigma)
+    if not rest:
+        return None
+    size = window_sizes.get(below)
+    if size is None:
+        size = window_sizes[below] = group.window_size(below + 1)
+    return size
+
+
 def scan(
     n: int, max_weight: int, *, in_class_only: bool = False, resonance_free_only: bool = False
 ) -> list[ScanRow]:
@@ -439,6 +453,15 @@ def scan(
     for a weight only if they hold for each of its prefixes (a failure is
     final and the witnesses of a prefix are witnesses of the weight), so
     they prune whole subtrees.
+
+    Inner prefixes are judged by ``_Prefix.judge``.  The last level, which
+    makes every row, has its own loop that does only what a row needs: one
+    ``divmod`` by the prefix sum gives the window index and the no-window
+    test, one ``contains`` call the obstruction test, and the resonance
+    counts of all its rows are read off the coin-change counts at the
+    prefix entries' fixed offsets.  Window sizes come from
+    ``Semigroup.window_size``, which counts a two-entry window's progression
+    terms without listing them.
     """
     n, max_weight = operator.index(n), operator.index(max_weight)
     if n < 2:
@@ -446,40 +469,93 @@ def scan(
     if max_weight < n:
         raise WeightError(f"scan needs max >= n, got max {max_weight} with n {n}")
     rows: list[ScanRow] = []
+    append, new_row = rows.append, tuple.__new__
+    no_window = ClassFailure(NO_WINDOW_EXISTS, n)
+    hit = ClassFailure(OBSTRUCTION_SET_HIT, n)
     # Deficits m_j - m_i stay below max_weight.
     unit = [1] + [0] * max_weight
 
+    def leaf(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
+        entries, sigma, group = prefix.entries, prefix.sigma, prefix.group
+        start, stop = entries[-1] + 1, max_weight + 1
+        # The m-th count is n_res plus the witnesses of the pairs (i, n), each
+        # read from ways at m - m_i.
+        counts = ways[start - entries[0] : stop - entries[0]]
+        for e in entries[1:]:
+            counts = map(operator.add, counts, ways[start - e : stop - e])
+        if n_res:
+            counts = map(n_res.__add__, counts)
+        if len(entries) < 2 or prefix.failure is not None:
+            # Level 2 or a failed prefix, which no in-class row extends: the
+            # general rule.
+            window_sizes: dict[int, int] = {}
+            for m, count in zip(range(start, stop), counts):
+                if math.gcd(gcd, m) != 1:
+                    continue
+                witnesses, failure = prefix.judge(m)
+                if in_class_only and failure is not None:
+                    continue
+                if resonance_free_only and count:
+                    continue
+                level_sizes = sizes
+                if len(entries) >= 2:
+                    level_sizes = (*sizes, _cached_size(group, window_sizes, sigma, m))
+                append(new_row(ScanRow, ((*entries, m), witnesses, failure, count, level_sizes)))
+            return
+        head, contains = prefix.witnesses, group.contains
+        # Per window index, the passing witness chain and the window sizes,
+        # shared by every row in the window; made at its first row.
+        windows: dict[int, tuple[tuple[int, ...], tuple]] = {}
+        no_window_sizes = (*sizes, None)
+        for m, count in zip(range(start, stop), counts):
+            if gcd != 1 and math.gcd(gcd, m) != 1:
+                continue
+            below, rest = divmod(m, sigma)
+            if not rest:
+                failure = no_window
+            elif contains(m):
+                # m exceeds every prefix entry, so it is blocked exactly when
+                # it lies in the prefix's semigroup.
+                failure = hit
+            else:
+                failure = None
+            if in_class_only and failure is not None:
+                continue
+            if resonance_free_only and count:
+                continue
+            if rest:
+                window = windows.get(below)
+                if window is None:
+                    window = windows[below] = (
+                        (*head, below + 1), (*sizes, group.window_size(below + 1))
+                    )
+                witnesses, level_sizes = window
+                if failure is not None:
+                    witnesses = head
+            else:
+                witnesses, level_sizes = head, no_window_sizes
+            append(new_row(ScanRow, ((*entries, m), witnesses, failure, count, level_sizes)))
+
     def walk(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
         depth = len(prefix.entries)
-        leaf = depth + 1 == n
+        if depth + 1 == n:
+            leaf(prefix, gcd, ways, n_res, sizes)
+            return
         window_sizes: dict[int, int] = {}
         for m in range(prefix.entries[-1] + 1, max_weight - (n - depth - 1) + 1):
-            m_gcd = math.gcd(gcd, m)
-            if leaf and m_gcd != 1:
-                continue
             witnesses, failure = prefix.judge(m)
             if in_class_only and failure is not None:
                 continue
             count = n_res + sum(ways[m - mi] for mi in prefix.entries)
             if resonance_free_only and count:
                 continue
+            level_sizes = sizes
             if depth >= 2:
-                window = window_index(prefix.sigma, m)
-                size = None
-                if window is not None:
-                    size = window_sizes.get(window)
-                    if size is None:
-                        size = window_sizes[window] = prefix.group.window(window).size
-                level_sizes = (*sizes, size)
-            else:
-                level_sizes = sizes
-            if leaf:
-                rows.append(
-                    ScanRow((*prefix.entries, m), witnesses, failure, count, level_sizes)
+                level_sizes = (
+                    *sizes, _cached_size(prefix.group, window_sizes, prefix.sigma, m)
                 )
-            else:
-                child = _Prefix(prefix.group.child(m), witnesses, failure)
-                walk(child, m_gcd, extend_ways(ways, m), count, level_sizes)
+            child = _Prefix(prefix.group.child(m), witnesses, failure)
+            walk(child, math.gcd(gcd, m), extend_ways(ways, m), count, level_sizes)
 
     for first in range(1, max_weight - n + 2):
         walk(_Prefix(semigroup.Semigroup((first,))), first, extend_ways(unit, first), 0, ())

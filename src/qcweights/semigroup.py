@@ -279,6 +279,29 @@ class Semigroup:
         minimal = {a} if b % a == 0 else {a, b}
         return _window(self.gens, M, lo, hi, a, starts, minimal)
 
+    def window_size(self, M: int) -> int:
+        """``len(self.window(M).elements)``.
+
+        Two generators a < b count each class's terms in the window, from
+        its first term ``first`` there, as (hi - 1 - first) // a + 1, and
+        subtract the minimal generators from window 1: O(min(a, M)) steps of
+        arithmetic and no element list.  Any other count returns the size of
+        ``window(M)``.
+        """
+        M = _check_window(M)
+        if len(self.gens) != 2:
+            return self.window(M).size
+        a, b = self.gens
+        lo, hi = window_interval(a + b, M)
+        first_in = lo + 1
+        size = 0
+        for start in range(0, min(a // self.d * b, hi), b):
+            first = start if start >= first_in else first_in + (start - first_in) % a
+            size += (hi - 1 - first) // a + 1
+        if M == 1:
+            size -= 1 if b % a == 0 else 2
+        return size
+
 
 def _window(
     prefix: tuple[int, ...],

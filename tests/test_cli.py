@@ -371,7 +371,9 @@ class TestScanCommand:
 # sha256 of each output with its elapsed_ms line removed, and the exit code,
 # recorded before the semigroup engine became one Semigroup value.  The scan
 # rows of length 4 read tables derived from their parent prefix's; the other
-# commands answer three-entry prefixes by a budgeted search or a table.
+# commands answer three-entry prefixes by a budgeted search or a table.  The
+# resonance listings were recorded before the writer joined templated items
+# into chunks of _ITEM_CHUNK.
 _PINNED = {
     ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "text"):
         (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
@@ -433,6 +435,14 @@ _PINNED = {
         (0, "2b2b8cb6305dec2f0a3dabf54fa5aee171c3be0d6a31431db2d783f3bbccbec6"),
     ("classify", "999983", "999989", "1999973", "4999999", "--format", "json"):
         (0, "8c2c3ece62ac16b7aec37ecfe34f5e4d4588f08bad754010e3deffe44614ae0b"),
+    ("resonances", "2", "3", "5", "7", "40"):
+        (3, "5634adbfb3b859565423e7c251b6958b551aab1fc659832d405405f8dd6167cf"),
+    ("resonances", "2", "3", "5", "7", "40", "--format", "json"):
+        (3, "8bae2eb6f4d31a261a4e89426e836559ac55faf6eaad60217bac405bf5594365"),
+    ("resonances", "20", "23", "45"):
+        (0, "8d0146e069cf9f74ee286a186138fc62a935e6c5224a5dbd567f4f8c975ba941"),
+    ("resonances", "20", "23", "45", "--format", "json"):
+        (0, "f884e7f53699e85214449f25699d143c784fc80e40efced46f59f4176d07c825"),
 }
 
 
@@ -840,6 +850,13 @@ class TestJsonWriter:
     )
     def test_edge_cases(self, tree):
         assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("length", [0, 1, cli_module._ITEM_CHUNK, cli_module._ITEM_CHUNK + 1])
+    def test_templated_chunk_boundaries(self, length):
+        witnesses = [ResonanceWitness(1, 2 + t % 3, (t,) * (1 + t % 3)) for t in range(length)]
+        tree = {"a": _Templated(witnesses, _witness_json), "b": [True]}
+        expected = {"a": [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses], "b": [True]}
+        assert "".join(_json_chunks(tree)) == json.dumps(expected, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
     def test_integer_chunk_boundaries(self, extra):

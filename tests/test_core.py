@@ -1,9 +1,10 @@
+import functools
 import math
 import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qcweights import core, semigroup
@@ -14,6 +15,7 @@ from qcweights.model import (
     NO_WINDOW_EXISTS,
     OBSTRUCTION_SET_HIT,
     ClassFailure,
+    ScanRow,
     WeightError,
 )
 
@@ -703,6 +705,65 @@ class TestN3Criteria:
     def test_wrong_arity(self):
         with pytest.raises(WeightError, match="length 3"):
             core.check_n3_criteria((3, 5))
+
+
+# The largest max_weight drawn per length, so the oracles stay quick.
+_SCAN_MAX = {2: 40, 3: 26, 4: 16, 5: 13}
+
+
+@functools.cache
+def _independent_rows(n: int) -> tuple[ScanRow, ...]:
+    """The scan row of every valid weight of length n up to _SCAN_MAX[n],
+    built one weight at a time from ``is_in_class``, the resonance oracle
+    and brute-force windows."""
+    rows = []
+    for m in valid_weights(n, _SCAN_MAX[n]):
+        verdict = core.is_in_class(m)
+        sizes = []
+        for j in range(3, n + 1):
+            sigma = sum(m[: j - 1])
+            if m[j - 1] % sigma == 0:
+                sizes.append(None)
+            else:
+                window = m[j - 1] // sigma + 1
+                sizes.append(len(core.obstruction_set(m[: j - 1], window, "brute").elements))
+        resonance_count = len(oracle_resonances(m))
+        rows.append(ScanRow(m, verdict.witnesses, verdict.failure, resonance_count, tuple(sizes)))
+    return tuple(rows)
+
+
+@st.composite
+def scan_bounds(draw):
+    n = draw(st.integers(2, 5))
+    return n, draw(st.integers(n, _SCAN_MAX[n]))
+
+
+class TestScan:
+    @settings(deadline=None, max_examples=40)
+    @given(scan_bounds(), st.booleans(), st.booleans())
+    # Unfiltered at each length's largest bound, where the leaf meets both
+    # window failures (for n = 3 and 4) and failed prefixes.
+    @example((2, 40), False, False)
+    @example((3, 26), False, False)
+    @example((4, 16), False, False)
+    @example((5, 13), False, False)
+    def test_rows_match_independent_paths(self, bounds, in_class_only, resonance_free_only):
+        # Row by row: the leaf loop's verdicts against is_in_class, its counts
+        # against the resonance oracle and its window sizes against the brute
+        # backend.
+        n, max_weight = bounds
+        expected = [
+            row
+            for row in _independent_rows(n)
+            if row.weight[-1] <= max_weight
+            and not (in_class_only and row.failure is not None)
+            and not (resonance_free_only and row.n_resonances)
+        ]
+        rows = core.scan(
+            n, max_weight, in_class_only=in_class_only, resonance_free_only=resonance_free_only
+        )
+        assert rows == expected
+        assert all(type(row) is ScanRow for row in rows)
 
 
 class TestLargeInputs:

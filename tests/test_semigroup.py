@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qcweights import semigroup
+from qcweights import core, semigroup
 from qcweights.model import ObstructionSet, window_interval
 
 from oracles import (
@@ -15,6 +16,7 @@ from oracles import (
     sieve_contains,
     sieve_window_elements,
 )
+from test_core import table_calls
 
 
 def representable_upto(sieve, bound):
@@ -357,6 +359,76 @@ class TestSemigroup:
     def test_child_must_extend_upwards(self):
         with pytest.raises(ValueError, match="exceed"):
             semigroup.Semigroup((3, 5)).child(4)
+
+
+class TestWindowSize:
+    """``Semigroup.window_size(M)`` is ``len(window(M).elements)``; a pair
+    counts it without listing the window or building a table."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(pairs, st.integers(1, 4))
+    @example((1, 5), 1)
+    @example((2, 4), 1)
+    @example((3, 9), 1)
+    @example((3, 9), 2)
+    @example((4, 6), 1)
+    @example((6, 10), 3)
+    def test_pair_matches_window_and_oracle(self, pair, window):
+        group = semigroup.Semigroup(pair)
+        size = group.window_size(window)
+        assert group._table is None
+        assert size == len(group.window(window).elements)
+        assert size == len(oracle_window_elements(pair, window))
+
+    @settings(deadline=None, max_examples=80)
+    @given(pairs, st.integers(1, 10**30))
+    @example((2, 4), 10**30)
+    @example((4, 6), 10**30)
+    @example((7, 15), 10**30)
+    def test_pair_matches_window_at_huge_indices(self, pair, window):
+        group = semigroup.Semigroup(pair)
+        assert group.window_size(window) == len(group.window(window).elements)
+
+    @settings(deadline=None, max_examples=60)
+    @given(generator_tuples, st.integers(1, 4))
+    @example((4,), 1)
+    @example((3, 6, 9), 1)
+    @example((6, 10, 15), 2)
+    def test_any_generator_count_matches_window(self, gens, window):
+        assert semigroup.Semigroup(gens).window_size(window) == len(
+            semigroup.Semigroup(gens).window(window).elements
+        )
+        assert derived(gens).window_size(window) == derived(gens).window(window).size
+
+    @pytest.mark.parametrize(
+        "pair, window",
+        [((5, 7), 1), ((2, 4), 1), ((4, 6), 2), ((3, 9), 10**30), ((199039, 199049), 2)],
+    )
+    def test_pair_builds_no_table(self, monkeypatch, pair, window):
+        calls = table_calls(monkeypatch, stub=True)
+        size = semigroup.Semigroup(pair).window_size(window)
+        assert calls == Counter()
+        if pair == (199039, 199049):
+            assert size == 7
+
+    def test_bad_window_index(self):
+        with pytest.raises(ValueError):
+            semigroup.Semigroup((3, 5)).window_size(0)
+
+    def test_length_3_scan_lists_no_window(self, monkeypatch):
+        # Every window a length-3 scan sizes is over a pair, so it is counted
+        # and never goes through the table pass.
+        calls = Counter()
+        fast = semigroup.obstruction_set_fast
+        monkeypatch.setattr(
+            semigroup,
+            "obstruction_set_fast",
+            lambda *args: calls.update(["obstruction_set_fast"]) or fast(*args),
+        )
+        assert core.scan(3, 30)
+        assert calls == Counter()
+        core.scan(4, 12)
+        assert calls == Counter(obstruction_set_fast=181)
 
 
 class TestRepresentability:
