@@ -14,7 +14,9 @@ The envelope and its result are written key by key.  The two arrays that
 can hold tens of thousands of items, scan rows and resonance witnesses, are
 rendered through a ``%``-template per item shape, made once from
 ``_render_json`` and cached, so an item costs one ``%`` call and no
-intermediate dict, and are written ``_ITEM_CHUNK`` items per chunk.
+intermediate dict, and are written ``_ITEM_CHUNK`` items per chunk.  A
+witness template is made per pair (i, j) with i and j already in it, so a
+witness renders as the template applied to its k.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -346,12 +348,20 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
 
 
 @functools.cache
-def _witness_template(k_len: int, indent: str) -> str:
-    return _template({"i": _SLOT, "j": _SLOT, "k": [_SLOT] * k_len}, indent)
+def _witness_template(i: int, j: int, k_len: int, indent: str) -> str:
+    # i and j are filled in: a listing has one template per pair (i, j).
+    return _template({"i": i, "j": j, "k": [_SLOT] * k_len}, indent)
 
 
 def _witness_json(w: ResonanceWitness, indent: str) -> str:
-    return _witness_template(len(w.k), indent) % (w.i, w.j, *w.k)
+    i, j, k = w
+    return _witness_template(i, j, len(k), indent) % k
+
+
+@functools.cache
+def _witness_line(i: int, j: int, k_len: int) -> str:
+    # The text line of a witness of the pair (i, j), as a template for its k.
+    return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * k_len) + "])"
 
 
 @cli.command("resonances")
@@ -376,8 +386,8 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
     def text() -> Iterator[str]:
         yield f"weight: {' '.join(str(x) for x in weights)}"
         yield f"count: {len(witnesses)}"
-        for w in witnesses:
-            yield f"(i={w.i}, j={w.j}, k={_fmt_list(w.k)})"
+        for i, j, k in witnesses:
+            yield _witness_line(i, j, len(k)) % k
 
     _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
     if witnesses:

@@ -9,6 +9,7 @@ nested-loop searches are the ground truth the fast paths are tested against.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
@@ -315,21 +316,31 @@ def _sum_solver(
     """A function listing, in lexicographic order, every k >= 0 with
     sum(gens[r] * k[r]) == t, and sum(k) <= degree_bound when one is given.
 
-    Before it descends into a value of k_q, the walk checks that the rest
-    of t lies in the semigroup of gens[q+1:], the q+1-th ``suffix`` of
-    ``semigroup.Semigroup(gens)``, so every branch it enters holds a
-    solution; with a degree bound it enters no branch whose partial sum(k)
-    already exceeds the bound.  The last two coordinates are one arithmetic
-    progression: from the least k_a of the pair's closed form, each step of
-    b/d in k_a lowers k_b by a/d, and, since a < b, raises k_a + k_b by
-    (b - a)/d, so the terms within the bound are a prefix of it.
+    The last two coordinates, the pair (a, b), are one arithmetic
+    progression: with d = gcd(a, b), the least k_a is
+    (t/d) * inverse mod b/d, k_b = (t - a*k_a)/b, and each step of b/d in
+    k_a lowers k_b by a/d and, since a < b, raises k_a + k_b by (b - a)/d,
+    so the terms within the bound are a prefix of it.  The walk over the
+    generator just before the pair is one loop over its k whose first step
+    is the pair's own test, d | rest and k_b >= 0, and which then appends
+    the progression: no membership call and no frame per value of k.  A
+    two-entry ``gens`` lists its pair directly.
+
+    Above the pair's predecessor, before it descends into a value of k_q,
+    the walk checks that the rest of t lies in the semigroup of gens[q+1:],
+    the q+1-th ``suffix`` of ``semigroup.Semigroup(gens)``, so every branch
+    it enters holds a solution.  With a degree bound it enters no branch
+    whose partial sum(k) already exceeds the bound.  So the cost follows the
+    solutions listed plus the values of the predecessor's k tried in each
+    branch entered.
     """
+    bounded = degree_bound is not None
     if len(gens) == 1:
         (g,) = gens
 
         def solve_one(t: int) -> list[tuple[int, ...]]:
             k, rest = divmod(t, g)
-            if rest or (degree_bound is not None and k > degree_bound):
+            if rest or (bounded and k > degree_bound):
                 return []
             return [(k,)]
 
@@ -345,32 +356,55 @@ def _sum_solver(
     drop = a // d
     rise = period - drop
 
+    def pair_only(t: int) -> list[tuple[int, ...]]:
+        if t % d:
+            return []
+        k_a = t // d * inverse % period
+        k_b = (t - k_a * a) // b
+        stop = 0
+        if bounded:
+            stop = max(0, k_b - (degree_bound - k_a - k_b) // rise * drop)
+        return list(zip(itertools.count(k_a, period), range(k_b, stop - 1, -drop)))
+
+    if pair == 0:
+        return pair_only
+
+    lead = gens[pair - 1]
+
     def solve(t: int) -> list[tuple[int, ...]]:
         out: list[tuple[int, ...]] = []
+        append = out.append
 
         # ``room`` is what the bound leaves for the coordinates from q on;
         # without a bound it is t, which no solution's sum(k) exceeds.
         def descend(q: int, t: int, head: tuple[int, ...], room: int) -> None:
-            if q == pair:
-                # The pair contains t here, so d divides t and k_b starts >= 0.
-                k_a = t // d * inverse % period
-                k_b = (t - k_a * a) // b
-                stop = 0
-                if degree_bound is not None:
-                    stop = max(0, k_b - (room - k_a - k_b) // rise * drop)
+            if q < pair - 1:
+                # ``contains`` is read per test, as a suffix swaps it for a
+                # table lookup once its search budget is spent.
+                g, inside = gens[q], suffixes[q + 1]
+                for k in range(min(t // g, room) + 1):
+                    rest = t - k * g
+                    if inside.contains(rest):
+                        descend(q + 1, rest, (*head, k), room - k)
+                return
+            # The pair's predecessor: k runs down the rest, and the pair's
+            # closed form both tests and lists each rest.
+            stop = 0
+            for k in range(min(t // lead, room) + 1):
+                rest = t - k * lead
+                if rest % d:
+                    continue
+                k_a = rest // d * inverse % period
+                k_b = (rest - k_a * a) // b
+                if bounded:
+                    stop = max(0, k_b - (room - k - k_a - k_b) // rise * drop)
                 while k_b >= stop:
-                    out.append((*head, k_a, k_b))
+                    append((*head, k, k_a, k_b))
                     k_a += period
                     k_b -= drop
-                return
-            g, inside = gens[q], suffixes[q + 1].contains
-            for k in range(min(t // g, room) + 1):
-                rest = t - k * g
-                if inside(rest):
-                    descend(q + 1, rest, (*head, k), room - k)
 
         if suffixes[0].contains(t):
-            descend(0, t, (), t if degree_bound is None else degree_bound)
+            descend(0, t, (), degree_bound if bounded else t)
         return out
 
     return solve
@@ -385,25 +419,31 @@ def resonances(weight, _degree_bound: int | None = None) -> list[ResonanceWitnes
     ``_degree_bound`` keeps only the witnesses with sum(k) at most it, and
     the walk enters no branch past it.
 
-    Cost: the walk over k enters only branches that hold a witness, so its
-    time follows the number of witnesses listed, times the values of k_q
-    tried in each branch entered and the membership test of each.  Each
-    test is ``contains`` of a ``semigroup.Semigroup`` made from a suffix of
-    the prefix m_1..m_{j-1}, which searches the next suffix until it has
-    taken as many steps as its Apery table has residues, and is then a
-    lookup in that table.  Memory is at most one table per suffix of three
-    or more entries of each prefix, built once per j and shared by every i,
-    and no table holds more residues than the steps already spent searching
-    its suffix: a suffix that no target reaches gets none.
+    Cost: the walk over k (see ``_sum_solver``) enters only branches that
+    hold a witness, and lists the last pair of coordinates in closed form
+    from one loop over the coordinate before it, so its time follows the
+    number of witnesses listed plus the values of that coordinate tried in
+    each branch, with one membership test per value of each coordinate
+    above it.  Each test is ``contains`` of a ``semigroup.Semigroup`` made
+    from a suffix of the prefix m_1..m_{j-1}, which searches the next suffix
+    until it has taken as many steps as its Apery table has residues, and
+    is then a lookup in that table.  Memory is at most one table per suffix
+    of three or more entries of each prefix, built once per j and shared by
+    every i, and no table holds more residues than the steps already spent
+    searching its suffix: a suffix that no target reaches gets none.  The
+    witnesses of each (i, j) are made by ``tuple.__new__`` in one list
+    comprehension, with no Python-level constructor call per witness.
     """
     w = _coerce(weight)
     m = w.m
     solvers = [_sum_solver(m[: j - 1], _degree_bound) for j in range(2, len(m) + 1)]
+    new = tuple.__new__
     out: list[ResonanceWitness] = []
     for i in range(1, len(m)):
         for j in range(i + 1, len(m) + 1):
-            for k in solvers[j - 2](m[j - 1] - m[i - 1]):
-                out.append(ResonanceWitness(i, j, k))
+            out += [
+                new(ResonanceWitness, (i, j, k)) for k in solvers[j - 2](m[j - 1] - m[i - 1])
+            ]
     return out
 
 
@@ -502,7 +542,9 @@ def scan(
                     level_sizes = (*sizes, _cached_size(group, window_sizes, sigma, m))
                 append(new_row(ScanRow, ((*entries, m), witnesses, failure, count, level_sizes)))
             return
-        head, contains = prefix.witnesses, group.contains
+        # ``group.contains`` is read per test, not bound here: a child's
+        # first test swaps it for a lookup in the table it derives.
+        head = prefix.witnesses
         # Per window index, the passing witness chain and the window sizes,
         # shared by every row in the window; made at its first row.
         windows: dict[int, tuple[tuple[int, ...], tuple]] = {}
@@ -513,7 +555,7 @@ def scan(
             below, rest = divmod(m, sigma)
             if not rest:
                 failure = no_window
-            elif contains(m):
+            elif group.contains(m):
                 # m exceeds every prefix entry, so it is blocked exactly when
                 # it lies in the prefix's semigroup.
                 failure = hit

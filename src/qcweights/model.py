@@ -1,8 +1,8 @@
 """Domain data types shared by the analyzer modules.
 
-Everything here is a small frozen dataclass over plain integers, so values
-hash, compare, and print deterministically and can be shared freely between
-threads.
+Everything here is a small frozen dataclass or named tuple over plain
+integers, so values hash, compare, and print deterministically and can be
+shared freely between threads.
 """
 
 from __future__ import annotations
@@ -121,12 +121,15 @@ class MembershipVerdict:
     failure: ClassFailure | None = None
 
 
-@dataclass(frozen=True)
-class ResonanceWitness:
+class ResonanceWitness(NamedTuple):
     """A solution of m_i + sum(m_r * k_r for r < j) = m_j with i < j.
 
     Indices are 1-based; ``k`` has length j - 1.  Such a solution is exactly
     what permits a nonlinear monomial in an origin-fixing automorphism.
+
+    A named tuple rather than a frozen dataclass because a listing can hold
+    hundreds of thousands of them.  It compares equal to the plain tuple
+    ``(i, j, k)`` and orders as that tuple does.
     """
 
     i: int

@@ -373,7 +373,9 @@ class TestScanCommand:
 # rows of length 4 read tables derived from their parent prefix's; the other
 # commands answer three-entry prefixes by a budgeted search or a table.  The
 # resonance listings were recorded before the writer joined templated items
-# into chunks of _ITEM_CHUNK.
+# into chunks of _ITEM_CHUNK; those of (2, 3, 5, 7, 252), a benchmark listing
+# of 53,415 witnesses, and (3, 4, 6, 11, 30) before the walk listed the last
+# pair from the loop over its predecessor and witnesses became named tuples.
 _PINNED = {
     ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "text"):
         (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
@@ -443,6 +445,12 @@ _PINNED = {
         (0, "8d0146e069cf9f74ee286a186138fc62a935e6c5224a5dbd567f4f8c975ba941"),
     ("resonances", "20", "23", "45", "--format", "json"):
         (0, "f884e7f53699e85214449f25699d143c784fc80e40efced46f59f4176d07c825"),
+    ("resonances", "2", "3", "5", "7", "252", "--format", "json"):
+        (3, "c7cdf78f86da779146eb582b71fd251de61a32a9b77f5c92f63651d88b474a15"),
+    ("resonances", "3", "4", "6", "11", "30"):
+        (3, "6153805ee19acb864864481e7002ca024035c8e4fabbb8fee5f18d1976c654a8"),
+    ("resonances", "3", "4", "6", "11", "30", "--format", "json"):
+        (3, "087aa1c6d3f18b8a357bddedd362c551d05da6723f7a5920f7371802dda986e6"),
 }
 
 

@@ -15,6 +15,7 @@ from qcweights.model import (
     NO_WINDOW_EXISTS,
     OBSTRUCTION_SET_HIT,
     ClassFailure,
+    ResonanceWitness,
     ScanRow,
     WeightError,
 )
@@ -72,6 +73,29 @@ def large_weights(draw, max_n=5):
     last = draw(st.integers(head[-1] + 1, 10**6))
     assume(math.gcd(*head, last) == 1)
     return (*head, last)
+
+
+@st.composite
+def shared_pair_weights(draw, max_n=6):
+    # Weights of length 3 to 6 in which two consecutive entries, followed by
+    # at least one more, share a factor: the last pair of some prefix then
+    # has gcd > 1, so some targets miss its residue class.  A first entry of
+    # at least 3 keeps the oracle's product loops small.
+    n = draw(st.integers(3, max_n))
+    shared = draw(st.integers(0, n - 3))
+    factor = draw(st.integers(2, 4))
+    entries: list[int] = []
+    for index in range(n):
+        low = entries[-1] + 1 if entries else 3
+        if index == shared:
+            value = -(-low // factor) * factor + factor * draw(st.integers(0, 2))
+        elif index == shared + 1:
+            value = entries[-1] + factor * draw(st.integers(1, 3))
+        else:
+            value = low + draw(st.integers(0, 5))
+        entries.append(value)
+    assume(math.gcd(*entries) == 1)
+    return tuple(entries)
 
 
 @st.composite
@@ -456,6 +480,20 @@ class TestResonances:
         got = [(w.i, w.j, w.k) for w in core.resonances(m)]
         assert got == oracle_resonances(m)
 
+    @settings(deadline=None, max_examples=60)
+    @given(shared_pair_weights())
+    @example((3, 4, 6, 11, 30))
+    @example((3, 6, 9, 10, 11))
+    @example((2, 3, 5, 7, 40))
+    def test_pair_listed_from_its_predecessor_loop(self, m):
+        # The last pair of coordinates is listed in closed form from the loop
+        # over the coordinate before it, with and without a degree bound.
+        listed = core.resonances(m)
+        assert [(w.i, w.j, w.k) for w in listed] == oracle_resonances(m)
+        for bound in range(7):
+            expected = [w for w in listed if sum(w.k) <= bound]
+            assert core.resonances(m, bound) == expected, (m, bound)
+
     def test_searched_and_tabled_suffixes_match_oracle(self, monkeypatch):
         # A suffix is searched until its searches have taken as many steps as
         # its Apery table has residues, and then tabled; both happen here.
@@ -543,6 +581,38 @@ class TestResonances:
             tracemalloc.stop()
         assert found == []
         assert peak < 1 << 20
+
+
+class TestResonanceWitness:
+    def test_construction_and_fields(self):
+        w = ResonanceWitness(1, 2, (4,))
+        assert w == ResonanceWitness(i=1, j=2, k=(4,))
+        assert (w.i, w.j, w.k) == (1, 2, (4,))
+        assert w.sort_key() == (1, 2, (4,))
+        assert repr(w) == "ResonanceWitness(i=1, j=2, k=(4,))"
+
+    def test_immutable(self):
+        w = ResonanceWitness(1, 2, (4,))
+        with pytest.raises(AttributeError):
+            w.i = 3
+        with pytest.raises(AttributeError):
+            w.extra = 0
+
+    def test_hash_and_equality(self):
+        a, b = ResonanceWitness(1, 3, (0, 1)), ResonanceWitness(1, 3, (0, 1))
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b, ResonanceWitness(1, 3, (2, 0))}) == 2
+        assert a != ResonanceWitness(2, 3, (0, 1))
+
+    def test_a_tuple_of_its_fields(self):
+        # Equal to the plain tuple (i, j, k), and ordered as it is.
+        w = ResonanceWitness(2, 3, (1, 0))
+        assert w == (2, 3, (1, 0))
+        assert hash(w) == hash((2, 3, (1, 0)))
+        listed = core.resonances((1, 2, 3))
+        assert listed == sorted(listed, key=ResonanceWitness.sort_key)
+        assert listed == sorted(reversed(listed))
+        assert all(type(w) is ResonanceWitness for w in listed)
 
 
 class TestResonanceCounting:
