@@ -10,13 +10,22 @@ payloads are byte-stable across runs.
 
 Output is streamed: every format is an iterable of chunks written to the
 ``--out`` file or to stdout as it is made, so no whole document is held.
-The envelope and its result are written key by key.  The two arrays that
-can hold tens of thousands of items, scan rows and resonance witnesses, are
-rendered through a ``%``-template per item shape, made once from
-``_render_json`` and cached, so an item costs one ``%`` call and no
-intermediate dict, and are written ``_ITEM_CHUNK`` items per chunk.  A
-witness template is made per pair (i, j) with i and j already in it, so a
-witness renders as the template applied to its k.
+The envelope and its result are written key by key.
+
+Long answers are written in runs and batches, not one item at a time:
+
+- A gap set is an ``IntRuns``, a few runs of consecutive integers.  Each
+  aligned block of 1,000 integers in a run, from 1,000 up, is written as
+  its shared leading digits joined with the 1,000 three-digit suffixes;
+  partial blocks and block 0 are written integer by integer.  JSON arrays
+  and text sets do the same, with their own separators.
+- Scan rows and resonance witnesses are rendered through a
+  ``%``-template per item shape, made once from ``_render_json`` and
+  cached.  A witness template is made per pair (i, j) with i and j already
+  in it.  Items are written ``_ITEM_CHUNK`` per chunk, and within a chunk
+  each stretch of consecutive items that share a template (the witnesses
+  of one pair, the rows of one shape) is one ``%`` of the template
+  repeated over their values.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -28,8 +37,10 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import operator
 import time
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain, compress, groupby, islice
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -37,6 +48,7 @@ import click
 from qcweights import core, counting
 from qcweights.model import (
     ClassFailure,
+    IntRuns,
     MembershipVerdict,
     ObstructionSet,
     ResonanceWitness,
@@ -84,18 +96,78 @@ _backend_option = click.option(
 _INT_CHUNK = 4096
 
 # A ``_Templated`` array, scan rows or resonance witnesses of a few hundred
-# bytes each, is written this many items per chunk.
-_ITEM_CHUNK = 256
+# bytes each, is written this many items per chunk, with one ``%`` per
+# stretch of a chunk that shares a template.  A ``%`` over a longer batch
+# grows the heap: at 256 items, rendering the 32,865 rows of
+# ``scan --n 3 --max 70`` raised peak RSS by 2 MB after one pass and 5 MB
+# after nine; at 64, by nothing.
+_ITEM_CHUNK = 64
+
+# The last three digits of the integers of an aligned block of 1,000.
+_SUFFIX3 = tuple(f"{t:03d}" for t in range(1000))
+
+
+def _run_text(runs: tuple[range, ...], sep: str) -> Iterator[str]:
+    """``sep.join(map(str, chain(*runs)))`` in pieces; ``runs`` are ranges
+    with step 1.
+
+    The integers t*1000 .. t*1000 + 999 with t >= 1 all start with the digits
+    of t, so such an aligned block inside a run is one join over
+    ``_SUFFIX3``.  The integers around the blocks, partial blocks and block
+    0, are written ``_INT_CHUNK`` at a time, integer by integer.
+    """
+    pieces = _run_pieces(runs, sep)
+    for piece in pieces:
+        yield piece[len(sep) :]
+        break
+    yield from pieces
+
+
+def _run_pieces(runs: tuple[range, ...], sep: str) -> Iterator[str]:
+    # The text of _run_text, led by one more sep.  Only runs of at least
+    # 1,000 integers can hold a block; the runs between them are flattened
+    # together.
+    loose: list[range] = []
+    start = 0
+    for at in compress(range(len(runs)), map((1000).__le__, map(len, runs))):
+        t, stop = runs[at].start, runs[at].stop
+        # The run holds the blocks first .. last - 1, numbered t // 1000.
+        first, last = max(-(-t // 1000), 1), stop // 1000
+        if first >= last:
+            continue
+        loose += runs[start:at]
+        loose.append(range(t, first * 1000))
+        yield from _loose_pieces(loose, sep)
+        for p in map(str, range(first, last)):
+            yield sep + p
+            yield (sep + p).join(_SUFFIX3)
+        loose = [range(last * 1000, stop)]
+        start = at + 1
+    loose += runs[start:]
+    yield from _loose_pieces(loose, sep)
+
+
+def _loose_pieces(ranges: list[range], sep: str) -> Iterator[str]:
+    # The ranges' integers, each led by sep, _INT_CHUNK per piece.
+    ints = map(int.__repr__, chain.from_iterable(ranges))
+    while piece := sep.join(chain(("",), islice(ints, _INT_CHUNK))):
+        yield piece
 
 
 def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
-def _set_line(label: str, values: tuple[int, ...] | list[int]) -> Iterator[str]:
+def _set_line(label: str, values: IntRuns | tuple[int, ...] | list[int]) -> Iterator[str]:
     """``f"{label}: {_fmt_set(values)}"`` in chunks of ``_INT_CHUNK`` items,
-    for the sets that can hold hundreds of thousands of integers."""
+    or of runs (see ``_run_text``) for an ``IntRuns``, for the sets that can
+    hold hundreds of thousands of integers."""
     head = f"{label}: {{"
+    if type(values) is IntRuns:
+        yield head
+        yield from _run_text(values.runs, ", ")
+        yield "}"
+        return
     for start in range(0, len(values), _INT_CHUNK):
         yield head + ", ".join(map(str, values[start : start + _INT_CHUNK]))
         head = ", "
@@ -138,10 +210,10 @@ def _template(value, indent: str) -> str:
 
 
 class _Templated:
-    """A result array whose items are rendered one at a time.
+    """A result array whose items are rendered a chunk at a time.
 
-    ``render(item, indent)`` returns the item's JSON at that indent; the
-    writer joins the items as ``_render_json`` joins an array's.
+    ``render(chunk, indent)`` returns the JSON of a slice of the items at
+    that indent, joined as ``_render_json`` joins an array's items.
     """
 
     __slots__ = ("items", "render")
@@ -157,8 +229,8 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
     writes a dict key by key, a ``_Templated`` array ``_ITEM_CHUNK`` items
-    and a flat integer array ``_INT_CHUNK`` items at a time, and leaves only
-    floats to ``json.dumps``.
+    and a flat integer array ``_INT_CHUNK`` items at a time, an ``IntRuns``
+    in runs (see ``_run_text``), and leaves only floats to ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -181,8 +253,7 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
         if type(value) is _Templated:
             render = value.render
             for start in range(0, len(items), _ITEM_CHUNK):
-                chunk = items[start : start + _ITEM_CHUNK]
-                yield head + sep.join([render(item, inner) for item in chunk])
+                yield head + render(items[start : start + _ITEM_CHUNK], inner)
                 head = sep
         # type() rather than isinstance: bools render as true and false.
         elif {*map(type, items)} == {int}:
@@ -194,6 +265,13 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
                 yield head
                 yield from _json_chunks(item, inner)
                 head = sep
+        yield indent + "]"
+    elif type(value) is IntRuns:
+        if not value:
+            yield "[]"
+            return
+        yield "[" + inner
+        yield from _run_text(value.runs, "," + inner)
         yield indent + "]"
     elif isinstance(value, str):
         yield encode_basestring_ascii(value)
@@ -348,20 +426,39 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
 
 
 @functools.cache
-def _witness_template(i: int, j: int, k_len: int, indent: str) -> str:
+def _witness_template(indent: str, i: int, j: int, k_len: int) -> str:
     # i and j are filled in: a listing has one template per pair (i, j).
     return _template({"i": i, "j": j, "k": [_SLOT] * k_len}, indent)
-
-
-def _witness_json(w: ResonanceWitness, indent: str) -> str:
-    i, j, k = w
-    return _witness_template(i, j, len(k), indent) % k
 
 
 @functools.cache
 def _witness_line(i: int, j: int, k_len: int) -> str:
     # The text line of a witness of the pair (i, j), as a template for its k.
     return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * k_len) + "])"
+
+
+_pair_of = operator.itemgetter(0, 1)
+_k_of = operator.itemgetter(2)
+
+
+def _witness_batch(
+    witnesses: list[ResonanceWitness], template: Callable[[int, int, int], str], sep: str
+) -> str:
+    """The witnesses rendered by ``template(i, j, len(k)) % k`` and joined by
+    ``sep``, with one ``%`` per stretch of witnesses of one pair and k length."""
+    parts = []
+    for (i, j), group in groupby(witnesses, _pair_of):
+        for k_len, ks in groupby(map(_k_of, group), len):
+            ks = list(ks)
+            batch = sep.join([template(i, j, k_len)] * len(ks))
+            parts.append(batch % tuple(chain.from_iterable(ks)))
+    return sep.join(parts)
+
+
+def _witnesses_json(witnesses: list[ResonanceWitness], indent: str) -> str:
+    return _witness_batch(
+        witnesses, functools.partial(_witness_template, indent), "," + indent
+    )
 
 
 @cli.command("resonances")
@@ -380,14 +477,14 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
     result = {
         "weight": list(weights),
         "count": len(witnesses),
-        "witnesses": _Templated(witnesses, _witness_json),
+        "witnesses": _Templated(witnesses, _witnesses_json),
     }
 
     def text() -> Iterator[str]:
         yield f"weight: {' '.join(str(x) for x in weights)}"
         yield f"count: {len(witnesses)}"
-        for i, j, k in witnesses:
-            yield _witness_line(i, j, len(k)) % k
+        for start in range(0, len(witnesses), _ITEM_CHUNK):
+            yield _witness_batch(witnesses[start : start + _ITEM_CHUNK], _witness_line, "\n")
 
     _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
     if witnesses:
@@ -544,17 +641,33 @@ def _scan_row_template(
     )
 
 
-def _scan_row_json(row: ScanRow, indent: str) -> str:
-    weight, witnesses, failure, n_resonances, sizes = row
-    if None in sizes:
-        sizes = ["null" if s is None else s for s in sizes]
-    template = _scan_row_template(
-        len(weight), len(witnesses), len(sizes), failure is not None, indent
-    )
-    values = (*sizes, n_resonances, *weight, *witnesses)
-    if failure is None:
-        return template % values
-    return template % (failure.level, encode_basestring_ascii(failure.reason), *values)
+def _scan_rows_json(rows: list[ScanRow], indent: str) -> str:
+    """The rows' JSON joined as an array's items, with one ``%`` per stretch
+    of consecutive rows that share a ``_scan_row_template``."""
+    sep = "," + indent
+    parts = []
+    shape = None
+    count = 0
+    values: list = []
+    for weight, witnesses, failure, n_resonances, sizes in rows:
+        row_shape = (len(weight), len(witnesses), len(sizes), failure is not None)
+        if row_shape != shape:
+            if count:
+                batch = sep.join([_scan_row_template(*shape, indent)] * count)
+                parts.append(batch % tuple(values))
+            shape, count, values = row_shape, 0, []
+        if failure is not None:
+            values += (failure.level, encode_basestring_ascii(failure.reason))
+        if None in sizes:
+            sizes = ["null" if s is None else s for s in sizes]
+        values += sizes
+        values.append(n_resonances)
+        values += weight
+        values += witnesses
+        count += 1
+    if count:
+        parts.append(sep.join([_scan_row_template(*shape, indent)] * count) % tuple(values))
+    return sep.join(parts)
 
 
 def _scan_text(rows: list[ScanRow]) -> Iterator[str]:
@@ -639,7 +752,7 @@ def scan(
     if fmt == "csv":
         _write(_scan_csv(rows), out)
     else:
-        result = {"rows": _Templated(rows, _scan_row_json), "count": len(rows)}
+        result = {"rows": _Templated(rows, _scan_rows_json), "count": len(rows)}
         _finish("scan", input_echo, result, "apery", fmt, out, started, lambda: _scan_text(rows))
     if row_filter == "disagree" and rows:
         click.echo(

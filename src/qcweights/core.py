@@ -667,9 +667,10 @@ def enumerate_admissible(prefix, M: int, backend: str = "sieve") -> list[int]:
     prefix_gcd = math.gcd(*pref)
     out: list[int] = []
     for s in iset.gaps():
+        # With the prefix positive and increasing (_check_prefix), these two
+        # tests are the rest of validate_weight((*pref, s)).
         if s <= pref[-1] or math.gcd(prefix_gcd, s) != 1:
             continue
-        validate_weight((*pref, s))
         if state.judge(s)[1] is not None:
             raise RuntimeError(
                 f"internal check failed: {(*pref, s)} should be in the class"

@@ -13,7 +13,7 @@ import operator
 from dataclasses import dataclass
 
 from qcweights import core
-from qcweights.model import WeightError
+from qcweights.model import IntRuns, WeightError
 
 # The published reference rows: gap counts for first entry 5, and the m1 = 3
 # count f(m2) over the primes 5..47.
@@ -54,14 +54,16 @@ class CountReport:
 
     ``formula`` and ``closed_form`` are None outside the proven cases;
     ``matches`` compares the closed form with the enumerated gap size and is
-    vacuously true when the closed form is withheld.
+    vacuously true when the closed form is withheld.  ``gap_set`` is an
+    ``IntRuns`` over the window's maximal gap runs, equal to the tuple of
+    the gaps; any int sequence is accepted.
     """
 
     m1: int
     m2: int
     window_size: int
     i_set_size: int
-    gap_set: tuple[int, ...]
+    gap_set: IntRuns | tuple[int, ...]
     formula: str | None
     closed_form: int | None
     matches: bool
@@ -111,7 +113,7 @@ def closed_form_count(m1: int, m2: int) -> CountReport:
     m1, m2 = _check_pair(m1, m2)
     iset = core.obstruction_set((m1, m2), 2)
     lo, hi = iset.interval
-    gap = iset.gaps()
+    gap = IntRuns(iset.gap_runs())
     window_size = hi - lo - 1
     if len(gap) + len(iset.elements) != window_size:
         raise RuntimeError("window census inconsistent with obstruction set")
@@ -129,7 +131,7 @@ def closed_form_count(m1: int, m2: int) -> CountReport:
     )
 
 
-def table_d(m1: int, m2_list) -> list[tuple[int, int | None, tuple[int, ...]]]:
+def table_d(m1: int, m2_list) -> list[tuple[int, int | None, IntRuns]]:
     """Rows (m2, count, gap set) for a fixed m1, one per requested m2."""
     rows = []
     for m2 in m2_list:

@@ -1,13 +1,16 @@
 """Domain data types shared by the analyzer modules.
 
-Everything here is a small frozen dataclass or named tuple over plain
-integers, so values hash, compare, and print deterministically and can be
-shared freely between threads.
+Everything here is a small frozen dataclass, named tuple or immutable
+sequence over plain integers, so values hash, compare, and print
+deterministically and can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 
@@ -63,6 +66,65 @@ def window_interval(sigma: int, M: int) -> tuple[int, int]:
     return (M - 1) * sigma, M * sigma
 
 
+_step_of = operator.attrgetter("step")
+
+
+class IntRuns(Sequence):
+    """An immutable sequence of integers held as runs of consecutive ones.
+
+    ``runs`` is a tuple of ranges with step 1; the sequence is their
+    integers in order.  A gap set of hundreds of thousands of integers is a
+    handful of runs, so it costs a few ranges rather than a tuple of every
+    integer, and a writer can render it run by run.  It compares equal to,
+    hashes as and prints as the tuple of its integers.
+    """
+
+    __slots__ = ("runs", "_len")
+
+    def __init__(self, runs: Iterable[range] = ()) -> None:
+        runs = tuple(runs)
+        if not {*map(_step_of, runs)} <= {1}:
+            raise ValueError("IntRuns holds ranges with step 1")
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "_len", sum(map(len, runs)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("IntRuns is immutable")
+
+    def __reduce__(self):
+        return IntRuns, (self.runs,)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(self.runs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if 0 <= index:
+            for run in self.runs:
+                if index < len(run):
+                    return run[index]
+                index -= len(run)
+        raise IndexError("IntRuns index out of range")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (IntRuns, tuple)):
+            return len(self) == len(other) and tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ObstructionSet:
     """The blocked integers of one window over a prefix.
@@ -84,15 +146,16 @@ class ObstructionSet:
     def __contains__(self, value: int) -> bool:
         return value in self.elements
 
+    def gap_runs(self) -> tuple[range, ...]:
+        """The window's integers outside the set as maximal runs: the
+        nonempty ranges between consecutive elements, ascending."""
+        bounds = (self.interval[0], *self.elements, self.interval[1])
+        return tuple(filter(None, map(range, map((1).__add__, bounds), bounds[1:])))
+
     def gaps(self) -> tuple[int, ...]:
-        """The window's integers outside the set, ascending: the ranges
-        between consecutive elements."""
-        prev, hi = self.interval
-        out: list[int] = []
-        for t in (*self.elements, hi):
-            out.extend(range(prev + 1, t))
-            prev = t
-        return tuple(out)
+        """The window's integers outside the set, ascending: the flattening
+        of ``gap_runs()``."""
+        return tuple(chain.from_iterable(self.gap_runs()))
 
 
 @dataclass(frozen=True)

@@ -741,6 +741,23 @@ class TestEnumerateAdmissible:
         assert core.enumerate_admissible((1009, 1013), 2) == expected
         assert calls == Counter()
 
+    @settings(deadline=None, max_examples=100)
+    @given(
+        st.lists(st.integers(2, 40), min_size=2, max_size=3, unique=True).map(sorted).map(tuple),
+        st.integers(1, 3),
+    )
+    @example((4, 6), 2)
+    @example((6, 10, 15), 1)
+    def test_results_are_valid_weights(self, prefix, window):
+        # Each s is returned without a validate_weight call of its own; the
+        # prefix checks and the s > last, gcd tests must amount to one.
+        try:
+            admissible = core.enumerate_admissible(prefix, window)
+        except WeightError:
+            assume(False)
+        for s in admissible:
+            assert core.validate_weight((*prefix, s)).m == (*prefix, s)
+
     def test_prefix_must_be_in_class(self):
         with pytest.raises(WeightError, match="base-case-m1"):
             core.enumerate_admissible((1, 2), 2)

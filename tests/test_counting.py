@@ -1,10 +1,15 @@
+import copy
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qcweights import core, counting
-from qcweights.model import WeightError
+from qcweights.model import IntRuns, WeightError
 
 from oracles import oracle_window_elements
 
@@ -173,3 +178,98 @@ class TestTables:
     def test_f_table_rejects_non_prime(self, bad):
         with pytest.raises(WeightError, match="prime"):
             counting.table_f([bad])
+
+
+def _oracle_gaps(m1, m2):
+    lo, hi = m1 + m2, 2 * (m1 + m2)
+    blocked = set(oracle_window_elements((m1, m2), 2))
+    return tuple(t for t in range(lo + 1, hi) if t not in blocked)
+
+
+pairs = st.integers(2, 30).flatmap(lambda m1: st.tuples(st.just(m1), st.integers(m1 + 1, 60)))
+
+
+class TestGapRuns:
+    @settings(deadline=None, max_examples=100)
+    @given(pairs)
+    @example((5, 11))
+    @example((3, 5))
+    @example((2, 3))
+    def test_gap_set_is_the_oracle_complement(self, pair):
+        report = counting.closed_form_count(*pair)
+        expected = _oracle_gaps(*pair)
+        gaps = report.gap_set
+        assert type(gaps) is IntRuns
+        assert gaps == expected and expected == gaps
+        assert not gaps != expected and not expected != gaps
+        assert hash(gaps) == hash(expected)
+        assert repr(gaps) == repr(expected)
+        assert len(gaps) == len(expected)
+        assert sum(map(len, gaps.runs)) + report.i_set_size == report.window_size
+        # The runs are maximal: none is empty and no two touch.
+        assert all(gaps.runs) and all(a.stop < b.start for a, b in zip(gaps.runs, gaps.runs[1:]))
+
+    def test_report_repr_unchanged(self):
+        report = counting.closed_form_count(5, 11)
+        assert repr(report) == (
+            "CountReport(m1=5, m2=11, window_size=15, i_set_size=8, "
+            "gap_set=(17, 18, 19, 23, 24, 28, 29), formula='d', closed_form=7, matches=True)"
+        )
+        plain = dataclasses.replace(report, gap_set=tuple(report.gap_set))
+        assert repr(plain) == repr(report)
+        assert plain == report
+        assert hash(plain) == hash(report)
+        assert repr(counting.closed_form_count(3, 5).gap_set) == "()"
+
+
+_run_lists = st.lists(st.tuples(st.integers(-5, 5), st.integers(0, 4)), max_size=6).map(
+    lambda steps: [range(a, a + n) for a, n in steps]
+)
+
+
+class TestIntRuns:
+    @settings(deadline=None, max_examples=200)
+    @given(_run_lists)
+    def test_acts_as_the_tuple(self, runs):
+        runs_value = IntRuns(runs)
+        plain = tuple(t for run in runs for t in run)
+        assert runs_value == plain and plain == runs_value
+        assert runs_value == IntRuns(runs) and hash(runs_value) == hash(plain)
+        assert repr(runs_value) == repr(plain)
+        assert len(runs_value) == len(plain)
+        assert tuple(runs_value) == plain
+        assert [runs_value[i] for i in range(-len(plain), len(plain))] == [
+            plain[i] for i in range(-len(plain), len(plain))
+        ]
+        assert runs_value[1:-1] == plain[1:-1] and runs_value[::2] == plain[::2]
+        assert all((v in runs_value) == (v in plain) for v in range(-6, 11))
+        assert list(reversed(runs_value)) == list(reversed(plain))
+
+    def test_index_out_of_range(self):
+        runs_value = IntRuns([range(3, 5), range(9, 10)])
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                runs_value[bad]
+        with pytest.raises(IndexError):
+            IntRuns()[0]
+
+    def test_not_equal_to_other_types(self):
+        runs_value = IntRuns([range(1, 3)])
+        assert runs_value != [1, 2]
+        assert runs_value != (1, 3)
+        assert runs_value != IntRuns([range(1, 4)])
+        assert IntRuns([range(1, 2), range(2, 3)]) == IntRuns([range(1, 3)])
+
+    def test_immutable_and_copyable(self):
+        runs_value = IntRuns([range(1, 3), range(7, 8)])
+        with pytest.raises(AttributeError):
+            runs_value.runs = ()
+        assert copy.deepcopy(runs_value) == runs_value
+        assert pickle.loads(pickle.dumps(runs_value)) == runs_value
+        # asdict deep-copies every field that is not a list, tuple or dict.
+        report = counting.closed_form_count(5, 11)
+        assert dataclasses.asdict(report)["gap_set"] == (17, 18, 19, 23, 24, 28, 29)
+
+    def test_runs_must_step_by_one(self):
+        with pytest.raises(ValueError, match="step 1"):
+            IntRuns([range(1, 9, 2)])

@@ -570,3 +570,20 @@ class TestAperyWindowPass:
         assert list(gaps) == sorted(set(gaps))
         assert set(gaps).isdisjoint(iset.elements)
         assert sorted(gaps + iset.elements) == list(range(lo + 1, hi))
+
+    @settings(deadline=None, max_examples=60)
+    @given(prefixes, st.one_of(st.integers(1, 3), st.integers(2**63, 10**40)))
+    @example((2, 4), 1)
+    @example((5, 7), 2)
+    def test_gap_runs_are_maximal(self, prefix, window):
+        iset = apery_window(prefix, window)
+        runs = iset.gap_runs()
+        lo, hi = iset.interval
+        blocked = {lo, *iset.elements, hi}
+        assert all(type(run) is range and run.step == 1 and run for run in runs)
+        # Ascending, and no two runs touch: an element lies between them.
+        assert all(a.stop < b.start for a, b in zip(runs, runs[1:]))
+        # Each run is bounded by elements or the window's bounds.
+        assert all(run.start - 1 in blocked and run.stop in blocked for run in runs)
+        assert sum(map(len, runs)) + len(iset.elements) == hi - lo - 1
+        assert tuple(t for run in runs for t in run) == iset.gaps()
