@@ -21,11 +21,11 @@ Long answers are written in runs and batches, not one item at a time:
   and text sets do the same, with their own separators.
 - Scan rows and resonance witnesses are rendered through a
   ``%``-template per item shape, made once from ``_render_json`` and
-  cached.  A witness template is made per pair (i, j) with i and j already
-  in it.  Items are written ``_ITEM_CHUNK`` per chunk, and within a chunk
-  each stretch of consecutive items that share a template (the witnesses
-  of one pair, the rows of one shape) is one ``%`` of the template
-  repeated over their values.
+  cached; a witness template per pair (i, j), with i and j in it.  Each
+  stretch of at most ``_ITEM_CHUNK`` items that share a template (rows of
+  one shape, witnesses of one pair) is one ``%`` of it repeated over their
+  values.  Witnesses are rendered from slices of the per-pair k arrays of
+  ``core.resonance_arrays``, with no tuple per witness.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -37,10 +37,9 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import operator
 import time
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, compress, groupby, islice
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -51,7 +50,6 @@ from qcweights.model import (
     IntRuns,
     MembershipVerdict,
     ObstructionSet,
-    ResonanceWitness,
     ScanRow,
     WeightError,
     window_interval,
@@ -210,15 +208,15 @@ def _template(value, indent: str) -> str:
 
 
 class _Templated:
-    """A result array whose items are rendered a chunk at a time.
+    """A result array whose items are rendered in pieces.
 
-    ``render(chunk, indent)`` returns the JSON of a slice of the items at
-    that indent, joined as ``_render_json`` joins an array's items.
+    ``render(items, indent)`` yields the JSON of the items at that indent in
+    nonempty pieces, each joined as ``_render_json`` joins an array's items.
     """
 
     __slots__ = ("items", "render")
 
-    def __init__(self, items, render: Callable[[object, str], str]) -> None:
+    def __init__(self, items, render: Callable[[object, str], Iterable[str]]) -> None:
         self.items = items
         self.render = render
 
@@ -228,7 +226,7 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
 
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
-    writes a dict key by key, a ``_Templated`` array ``_ITEM_CHUNK`` items
+    writes a dict key by key, a ``_Templated`` array in its render's pieces
     and a flat integer array ``_INT_CHUNK`` items at a time, an ``IntRuns``
     in runs (see ``_run_text``), and leaves only floats to ``json.dumps``.
     """
@@ -243,25 +241,25 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
             yield from _json_chunks(value[key], inner)
             sep = "," + inner
         yield indent + "}"
-    elif isinstance(value, (list, tuple, _Templated)):
-        items = value.items if type(value) is _Templated else value
-        if not items:
+    elif type(value) is _Templated:
+        head = "[" + inner
+        for piece in value.render(value.items, inner):
+            yield head + piece
+            head = "," + inner
+        yield "[]" if head[0] == "[" else indent + "]"
+    elif isinstance(value, (list, tuple)):
+        if not value:
             yield "[]"
             return
         sep = "," + inner
         head = "[" + inner
-        if type(value) is _Templated:
-            render = value.render
-            for start in range(0, len(items), _ITEM_CHUNK):
-                yield head + render(items[start : start + _ITEM_CHUNK], inner)
-                head = sep
         # type() rather than isinstance: bools render as true and false.
-        elif {*map(type, items)} == {int}:
-            for start in range(0, len(items), _INT_CHUNK):
-                yield head + sep.join(map(int.__repr__, items[start : start + _INT_CHUNK]))
+        if {*map(type, value)} == {int}:
+            for start in range(0, len(value), _INT_CHUNK):
+                yield head + sep.join(map(int.__repr__, value[start : start + _INT_CHUNK]))
                 head = sep
         else:
-            for item in items:
+            for item in value:
                 yield head
                 yield from _json_chunks(item, inner)
                 head = sep
@@ -426,39 +424,32 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
 
 
 @functools.cache
-def _witness_template(indent: str, i: int, j: int, k_len: int) -> str:
+def _witness_template(indent: str, i: int, j: int) -> str:
     # i and j are filled in: a listing has one template per pair (i, j).
-    return _template({"i": i, "j": j, "k": [_SLOT] * k_len}, indent)
+    return _template({"i": i, "j": j, "k": [_SLOT] * (j - 1)}, indent)
 
 
 @functools.cache
-def _witness_line(i: int, j: int, k_len: int) -> str:
+def _witness_line(i: int, j: int) -> str:
     # The text line of a witness of the pair (i, j), as a template for its k.
-    return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * k_len) + "])"
+    return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * (j - 1)) + "])"
 
 
-_pair_of = operator.itemgetter(0, 1)
-_k_of = operator.itemgetter(2)
+def _witness_pieces(arrays, template: Callable[[int, int], str], sep: str) -> Iterator[str]:
+    """The witnesses of ``core.resonance_arrays`` rendered by
+    ``template(i, j) % k`` and joined by ``sep``: each stretch of at most
+    ``_ITEM_CHUNK`` witnesses of one pair is one piece and one ``%``, sliced
+    from its pair's array only when the piece is made."""
+    for i, j, flat in arrays:
+        line = template(i, j)
+        step = _ITEM_CHUNK * (j - 1)
+        for start in range(0, len(flat), step):
+            ks = flat[start : start + step]
+            yield sep.join([line] * (len(ks) // (j - 1))) % tuple(ks)
 
 
-def _witness_batch(
-    witnesses: list[ResonanceWitness], template: Callable[[int, int, int], str], sep: str
-) -> str:
-    """The witnesses rendered by ``template(i, j, len(k)) % k`` and joined by
-    ``sep``, with one ``%`` per stretch of witnesses of one pair and k length."""
-    parts = []
-    for (i, j), group in groupby(witnesses, _pair_of):
-        for k_len, ks in groupby(map(_k_of, group), len):
-            ks = list(ks)
-            batch = sep.join([template(i, j, k_len)] * len(ks))
-            parts.append(batch % tuple(chain.from_iterable(ks)))
-    return sep.join(parts)
-
-
-def _witnesses_json(witnesses: list[ResonanceWitness], indent: str) -> str:
-    return _witness_batch(
-        witnesses, functools.partial(_witness_template, indent), "," + indent
-    )
+def _witnesses_json(arrays, indent: str) -> Iterator[str]:
+    return _witness_pieces(arrays, functools.partial(_witness_template, indent), "," + indent)
 
 
 @cli.command("resonances")
@@ -473,21 +464,21 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
     witnesses exist.
     """
     started = time.perf_counter()
-    witnesses = core.resonances(core.validate_weight(weights))
+    arrays = core.resonance_arrays(core.validate_weight(weights))
+    count = sum(len(flat) // (j - 1) for _, j, flat in arrays)
     result = {
         "weight": list(weights),
-        "count": len(witnesses),
-        "witnesses": _Templated(witnesses, _witnesses_json),
+        "count": count,
+        "witnesses": _Templated(arrays, _witnesses_json),
     }
 
     def text() -> Iterator[str]:
         yield f"weight: {' '.join(str(x) for x in weights)}"
-        yield f"count: {len(witnesses)}"
-        for start in range(0, len(witnesses), _ITEM_CHUNK):
-            yield _witness_batch(witnesses[start : start + _ITEM_CHUNK], _witness_line, "\n")
+        yield f"count: {count}"
+        yield from _witness_pieces(arrays, _witness_line, "\n")
 
     _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
-    if witnesses:
+    if count:
         ctx.exit(3)
 
 
@@ -641,33 +632,34 @@ def _scan_row_template(
     )
 
 
-def _scan_rows_json(rows: list[ScanRow], indent: str) -> str:
-    """The rows' JSON joined as an array's items, with one ``%`` per stretch
-    of consecutive rows that share a ``_scan_row_template``."""
+def _scan_rows_json(rows: list[ScanRow], indent: str) -> Iterator[str]:
+    """The rows' JSON, ``_ITEM_CHUNK`` rows per piece, with one ``%`` per
+    stretch of consecutive rows of a piece that share a
+    ``_scan_row_template``."""
     sep = "," + indent
-    parts = []
-    shape = None
-    count = 0
-    values: list = []
-    for weight, witnesses, failure, n_resonances, sizes in rows:
-        row_shape = (len(weight), len(witnesses), len(sizes), failure is not None)
-        if row_shape != shape:
-            if count:
-                batch = sep.join([_scan_row_template(*shape, indent)] * count)
-                parts.append(batch % tuple(values))
-            shape, count, values = row_shape, 0, []
-        if failure is not None:
-            values += (failure.level, encode_basestring_ascii(failure.reason))
-        if None in sizes:
-            sizes = ["null" if s is None else s for s in sizes]
-        values += sizes
-        values.append(n_resonances)
-        values += weight
-        values += witnesses
-        count += 1
-    if count:
+    for start in range(0, len(rows), _ITEM_CHUNK):
+        parts = []
+        shape = None
+        count = 0
+        values: list = []
+        for weight, witnesses, failure, n_resonances, sizes in rows[start : start + _ITEM_CHUNK]:
+            row_shape = (len(weight), len(witnesses), len(sizes), failure is not None)
+            if row_shape != shape:
+                if count:
+                    batch = sep.join([_scan_row_template(*shape, indent)] * count)
+                    parts.append(batch % tuple(values))
+                shape, count, values = row_shape, 0, []
+            if failure is not None:
+                values += (failure.level, encode_basestring_ascii(failure.reason))
+            if None in sizes:
+                sizes = ["null" if s is None else s for s in sizes]
+            values += sizes
+            values.append(n_resonances)
+            values += weight
+            values += witnesses
+            count += 1
         parts.append(sep.join([_scan_row_template(*shape, indent)] * count) % tuple(values))
-    return sep.join(parts)
+        yield sep.join(parts)
 
 
 def _scan_text(rows: list[ScanRow]) -> Iterator[str]:

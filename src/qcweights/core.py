@@ -312,9 +312,9 @@ def is_in_class(weight) -> MembershipVerdict:
 
 def _sum_solver(
     gens: tuple[int, ...], degree_bound: int | None = None
-) -> Callable[[int], list[tuple[int, ...]]]:
-    """A function listing, in lexicographic order, every k >= 0 with
-    sum(gens[r] * k[r]) == t, and sum(k) <= degree_bound when one is given.
+) -> Callable[[int], list[int]]:
+    """A function listing, flat and in lexicographic order, every k >= 0
+    with sum(gens[r] * k[r]) == t, and sum(k) <= degree_bound when given.
 
     The last two coordinates, the pair (a, b), are one arithmetic
     progression: with d = gcd(a, b), the least k_a is
@@ -322,9 +322,9 @@ def _sum_solver(
     k_a lowers k_b by a/d and, since a < b, raises k_a + k_b by (b - a)/d,
     so the terms within the bound are a prefix of it.  The walk over the
     generator just before the pair is one loop over its k whose first step
-    is the pair's own test, d | rest and k_b >= 0, and which then appends
-    the progression: no membership call and no frame per value of k.  A
-    two-entry ``gens`` lists its pair directly.
+    is the pair's own test, d | rest and k_b >= 0, and which then extends
+    the list by each term ``(*head, k, k_a, k_b)``: no membership call and
+    no frame per value of k.  A two-entry ``gens`` lists its pair directly.
 
     Above the pair's predecessor, before it descends into a value of k_q,
     the walk checks that the rest of t lies in the semigroup of gens[q+1:],
@@ -338,11 +338,11 @@ def _sum_solver(
     if len(gens) == 1:
         (g,) = gens
 
-        def solve_one(t: int) -> list[tuple[int, ...]]:
+        def solve_one(t: int) -> list[int]:
             k, rest = divmod(t, g)
             if rest or (bounded and k > degree_bound):
                 return []
-            return [(k,)]
+            return [k]
 
         return solve_one
 
@@ -356,7 +356,7 @@ def _sum_solver(
     drop = a // d
     rise = period - drop
 
-    def pair_only(t: int) -> list[tuple[int, ...]]:
+    def pair_only(t: int) -> list[int]:
         if t % d:
             return []
         k_a = t // d * inverse % period
@@ -364,16 +364,17 @@ def _sum_solver(
         stop = 0
         if bounded:
             stop = max(0, k_b - (degree_bound - k_a - k_b) // rise * drop)
-        return list(zip(itertools.count(k_a, period), range(k_b, stop - 1, -drop)))
+        terms = zip(itertools.count(k_a, period), range(k_b, stop - 1, -drop))
+        return list(itertools.chain.from_iterable(terms))
 
     if pair == 0:
         return pair_only
 
     lead = gens[pair - 1]
 
-    def solve(t: int) -> list[tuple[int, ...]]:
-        out: list[tuple[int, ...]] = []
-        append = out.append
+    def solve(t: int) -> list[int]:
+        out: list[int] = []
+        extend = out.extend
 
         # ``room`` is what the bound leaves for the coordinates from q on;
         # without a bound it is t, which no solution's sum(k) exceeds.
@@ -399,7 +400,7 @@ def _sum_solver(
                 if bounded:
                     stop = max(0, k_b - (room - k - k_a - k_b) // rise * drop)
                 while k_b >= stop:
-                    append((*head, k, k_a, k_b))
+                    extend((*head, k, k_a, k_b))
                     k_a += period
                     k_b -= drop
 
@@ -410,40 +411,47 @@ def _sum_solver(
     return solve
 
 
+def resonance_arrays(
+    weight, _degree_bound: int | None = None
+) -> list[tuple[int, int, list[int]]]:
+    """The witnesses of ``resonances`` as one ``(i, j, flat)`` per pair
+    i < j, in (i, j) order: ``flat`` holds the k of each witness of the
+    pair, in order, j - 1 entries apiece.  The private ``_degree_bound``
+    keeps only the witnesses with sum(k) at most it, and the walk enters no
+    branch past it.
+
+    Cost: the walk over k (see ``_sum_solver``) enters only branches that
+    hold a witness, so its time follows the witnesses listed plus the values
+    of the pair's predecessor tried in each branch, with one membership
+    test per value of each coordinate above it.  Each test is ``contains``
+    of a ``semigroup.Semigroup`` of a suffix of m_1..m_{j-1}, which searches
+    until it has taken as many steps as its Apery table has residues and is
+    then a lookup in that table.  Memory is the arrays, with no object per
+    witness, and at most one such table per suffix of each prefix, built
+    once per j and shared by every i; a suffix no target reaches gets none.
+    """
+    m = _coerce(weight).m
+    solvers = [_sum_solver(m[: j - 1], _degree_bound) for j in range(2, len(m) + 1)]
+    pairs = itertools.combinations(range(1, len(m) + 1), 2)
+    return [(i, j, solvers[j - 2](m[j - 1] - m[i - 1])) for i, j in pairs]
+
+
 def resonances(weight, _degree_bound: int | None = None) -> list[ResonanceWitness]:
     """All triples (i, j, k) with i < j and m_i + sum(m_r * k_r, r < j) = m_j,
     sorted by (i, j, k).
 
     An empty result certifies that every origin-fixing rotation exponent
-    (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.  The private
-    ``_degree_bound`` keeps only the witnesses with sum(k) at most it, and
-    the walk enters no branch past it.
-
-    Cost: the walk over k (see ``_sum_solver``) enters only branches that
-    hold a witness, and lists the last pair of coordinates in closed form
-    from one loop over the coordinate before it, so its time follows the
-    number of witnesses listed plus the values of that coordinate tried in
-    each branch, with one membership test per value of each coordinate
-    above it.  Each test is ``contains`` of a ``semigroup.Semigroup`` made
-    from a suffix of the prefix m_1..m_{j-1}, which searches the next suffix
-    until it has taken as many steps as its Apery table has residues, and
-    is then a lookup in that table.  Memory is at most one table per suffix
-    of three or more entries of each prefix, built once per j and shared by
-    every i, and no table holds more residues than the steps already spent
-    searching its suffix: a suffix that no target reaches gets none.  The
-    witnesses of each (i, j) are made by ``tuple.__new__`` in one list
-    comprehension, with no Python-level constructor call per witness.
+    (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.  This is
+    ``resonance_arrays`` reshaped, as ``gaps()`` is ``gap_runs()``
+    flattened: one ``zip`` cuts each pair's array into its k tuples, which
+    ``map`` makes witnesses by ``tuple.__new__``, with no Python-level call
+    per witness.
     """
-    w = _coerce(weight)
-    m = w.m
-    solvers = [_sum_solver(m[: j - 1], _degree_bound) for j in range(2, len(m) + 1)]
-    new = tuple.__new__
+    new, repeat = tuple.__new__, itertools.repeat
     out: list[ResonanceWitness] = []
-    for i in range(1, len(m)):
-        for j in range(i + 1, len(m) + 1):
-            out += [
-                new(ResonanceWitness, (i, j, k)) for k in solvers[j - 2](m[j - 1] - m[i - 1])
-            ]
+    for i, j, flat in resonance_arrays(weight, _degree_bound):
+        ks = zip(*[iter(flat)] * (j - 1))
+        out += map(new, repeat(ResonanceWitness), zip(repeat(i), repeat(j), ks))
     return out
 
 
@@ -637,9 +645,9 @@ def zero_set_equivalence_check(weight, degree_bound: int) -> bool:
         )
 
     expected: dict[tuple[int, int], set[tuple[int, ...]]] = {}
-    for wit in resonances(w, degree_bound):
-        full = wit.k + (0,) * (n - len(wit.k))
-        expected.setdefault((wit.i, wit.j), set()).add(full)
+    for i, j, flat in resonance_arrays(w, degree_bound):
+        if flat:
+            expected[i, j] = {k + (0,) * (n - j + 1) for k in zip(*[iter(flat)] * (j - 1))}
 
     found: dict[tuple[int, int], set[tuple[int, ...]]] = {}
     for k in _bounded_multi_indices(n, degree_bound):

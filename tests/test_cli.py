@@ -18,8 +18,8 @@ from qcweights.cli import (
     _scan_rows_json,
     _set_line,
     _Templated,
-    _witness_batch,
     _witness_line,
+    _witness_pieces,
     _witnesses_json,
     main,
 )
@@ -381,6 +381,8 @@ class TestScanCommand:
 # into chunks of _ITEM_CHUNK; those of (2, 3, 5, 7, 252), a benchmark listing
 # of 53,415 witnesses, and (3, 4, 6, 11, 30) before the walk listed the last
 # pair from the loop over its predecessor and witnesses became named tuples.
+# The text listing of (2, 3, 5, 7, 252) was recorded before the writer
+# rendered witnesses from per-pair k arrays.
 _PINNED = {
     ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "text"):
         (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
@@ -450,6 +452,8 @@ _PINNED = {
         (0, "8d0146e069cf9f74ee286a186138fc62a935e6c5224a5dbd567f4f8c975ba941"),
     ("resonances", "20", "23", "45", "--format", "json"):
         (0, "f884e7f53699e85214449f25699d143c784fc80e40efced46f59f4176d07c825"),
+    ("resonances", "2", "3", "5", "7", "252"):
+        (3, "f4a1a212394e580ecf9d4a9cf8d6b3a5a9bcc02d93e0cc42d875aac477331bea"),
     ("resonances", "2", "3", "5", "7", "252", "--format", "json"):
         (3, "c7cdf78f86da779146eb582b71fd251de61a32a9b77f5c92f63651d88b474a15"),
     ("resonances", "3", "4", "6", "11", "30"):
@@ -876,9 +880,15 @@ class TestJsonWriter:
         [0, 1, *(n * cli_module._ITEM_CHUNK + extra for n in (1, 4) for extra in (0, 1))],
     )
     def test_templated_chunk_boundaries(self, length):
-        witnesses = [ResonanceWitness(1, 2 + t % 3, (t,) * (1 + t % 3)) for t in range(length)]
-        tree = {"a": _Templated(witnesses, _witnesses_json), "b": [True]}
-        expected = {"a": [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses], "b": [True]}
+        # A pair of `length` witnesses between empty pairs, then a short one.
+        arrays = [
+            (1, 2, []),
+            (1, 3, list(range(2 * length))),
+            (2, 3, []),
+            (2, 4, list(range(3 * (length % 5)))),
+        ]
+        tree = {"a": _Templated(arrays, _witnesses_json), "b": [True]}
+        expected = {"a": _witness_dicts(arrays), "b": [True]}
         assert "".join(_json_chunks(tree)) == json.dumps(expected, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
@@ -899,9 +909,28 @@ _scan_rows = st.builds(
     n_resonances=_ints,
     i_set_sizes=st.lists(st.none() | _ints, max_size=4).map(tuple),
 )
-_resonance_witnesses = st.builds(
-    ResonanceWitness, i=_ints, j=_ints, k=st.lists(_ints, min_size=1, max_size=6).map(tuple)
-)
+
+
+@st.composite
+def _witness_arrays(draw, i=_ints, j=st.integers(2, 7), k=_ints, max_witnesses=4):
+    # Arrays as core.resonance_arrays returns them: j - 1 entries per witness.
+    arrays = []
+    for pair_i, pair_j in draw(st.lists(st.tuples(i, j), max_size=4)):
+        ks = draw(st.lists(st.lists(k, min_size=pair_j - 1, max_size=pair_j - 1),
+                           max_size=max_witnesses))
+        arrays.append((pair_i, pair_j, [x for one in ks for x in one]))
+    return arrays
+
+
+def _witnesses(arrays) -> list[ResonanceWitness]:
+    return [
+        ResonanceWitness(i, j, k) for i, j, flat in arrays for k in zip(*[iter(flat)] * (j - 1))
+    ]
+
+
+def _witness_dicts(arrays) -> list[dict]:
+    # The reference: each witness as a plain dict, for json.dumps.
+    return [{"i": w.i, "j": w.j, "k": list(w.k)} for w in _witnesses(arrays)]
 
 
 def _scan_row_dict(row: ScanRow) -> dict:
@@ -935,10 +964,10 @@ class TestRowTemplates:
         assert _streamed("rows", rows, _scan_rows_json) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(_resonance_witnesses, max_size=4))
-    def test_witnesses_match_json_dumps(self, witnesses):
-        expected = _dumped("witnesses", [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses])
-        assert _streamed("witnesses", witnesses, _witnesses_json) == expected
+    @given(_witness_arrays())
+    def test_witnesses_match_json_dumps(self, arrays):
+        expected = _dumped("witnesses", _witness_dicts(arrays))
+        assert _streamed("witnesses", arrays, _witnesses_json) == expected
 
     @pytest.mark.parametrize("reason", [None, *FAILURE_REASONS])
     def test_every_failure_reason(self, reason):
@@ -952,35 +981,28 @@ class TestRowTemplates:
 
     @pytest.mark.parametrize("k_len", range(1, 7))
     def test_every_witness_length(self, k_len):
-        witnesses = [ResonanceWitness(1, k_len + 1, tuple(range(2**63, 2**63 + k_len)))]
-        expected = _dumped("witnesses", [{"i": 1, "j": k_len + 1, "k": list(witnesses[0].k)}])
-        assert _streamed("witnesses", witnesses, _witnesses_json) == expected
+        arrays = [(1, k_len + 1, list(range(2**63, 2**63 + k_len)))]
+        expected = _dumped("witnesses", [{"i": 1, "j": k_len + 1, "k": arrays[0][2]}])
+        assert _streamed("witnesses", arrays, _witnesses_json) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.lists(
-            st.builds(
-                ResonanceWitness,
-                i=st.integers(1, 2),
-                j=st.integers(2, 3),
-                k=st.lists(st.integers(0, 2**64), min_size=1, max_size=2).map(tuple),
-            ),
-            max_size=40,
+        _witness_arrays(
+            i=st.integers(1, 2), j=st.integers(2, 3), k=st.integers(0, 2**64), max_witnesses=140
         )
     )
-    def test_witness_batches_match_json_dumps(self, witnesses):
-        # Few pairs and k lengths, so consecutive witnesses share templates.
-        expected = _dumped("witnesses", [{"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses])
-        assert _streamed("witnesses", witnesses, _witnesses_json) == expected
+    def test_witness_batches_match_json_dumps(self, arrays):
+        # Pairs of up to 140 witnesses, so pieces end inside and at a pair.
+        expected = _dumped("witnesses", _witness_dicts(arrays))
+        assert _streamed("witnesses", arrays, _witnesses_json) == expected
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.lists(_resonance_witnesses, max_size=2), max_size=3), st.data())
-    def test_witness_text_batches_match_lines(self, pools, data):
-        witnesses = [data.draw(st.sampled_from(pool)) for pool in pools if pool for _ in range(3)]
+    @given(_witness_arrays(max_witnesses=140))
+    def test_witness_text_batches_match_lines(self, arrays):
         expected = "\n".join(
-            f"(i={w.i}, j={w.j}, k=[{', '.join(map(str, w.k))}])" for w in witnesses
+            f"(i={w.i}, j={w.j}, k=[{', '.join(map(str, w.k))}])" for w in _witnesses(arrays)
         )
-        assert _witness_batch(witnesses, _witness_line, "\n") == expected
+        assert "\n".join(_witness_pieces(arrays, _witness_line, "\n")) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_scan_rows, min_size=1, max_size=3), st.data())
@@ -989,6 +1011,78 @@ class TestRowTemplates:
         rows = data.draw(st.lists(st.sampled_from(pool), max_size=30))
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
         assert _streamed("rows", rows, _scan_rows_json) == expected
+
+
+def _fake_arrays(counts):
+    # resonance_arrays of a length-4 weight whose pairs, in (i, j) order,
+    # have the given numbers of witnesses, with distinct multi-digit k.
+    def resonance_arrays(weight):
+        pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]
+        return [
+            (i, j, list(range(1000 * n, 1000 * n + (j - 1) * c)))
+            for n, ((i, j), c) in enumerate(zip(pairs, counts))
+        ]
+
+    return resonance_arrays
+
+
+def _resonances_outputs(weight, witnesses) -> dict[str, str]:
+    # The JSON and text outputs of `resonances` written from the witness
+    # list: the envelope by json.dumps, and the text one line per witness.
+    result = {"weight": list(weight), "count": len(witnesses), "witnesses": [
+        {"i": w.i, "j": w.j, "k": list(w.k)} for w in witnesses
+    ]}
+    envelope = {
+        "command": "resonances", "input": {"weights": list(weight)}, "backend": None,
+        "result": result, "elapsed_ms": 0.0,
+    }
+    lines = [f"weight: {' '.join(map(str, weight))}", f"count: {len(witnesses)}"]
+    lines += [f"(i={w.i}, j={w.j}, k=[{', '.join(map(str, w.k))}])" for w in witnesses]
+    return {
+        "json": json.dumps(envelope, sort_keys=True, indent=2) + "\n",
+        "text": "".join(line + "\n" for line in lines),
+    }
+
+
+class TestWitnessArrays:
+    # Witnesses are written from per-pair k arrays, one piece per stretch of
+    # at most _ITEM_CHUNK witnesses of a pair; the bytes are those of the
+    # witness list written whole.
+
+    def _check(self, capsys, tmp_path, weight, witnesses):
+        for fmt, expected in _resonances_outputs(weight, witnesses).items():
+            target = tmp_path / f"out.{fmt}"
+            argv = ["resonances", *map(str, weight), "--format", fmt]
+            code, out, err = run_cli(argv, capsys)
+            file_code, file_out, file_err = run_cli([*argv, "--out", str(target)], capsys)
+            assert code == file_code == (3 if witnesses else 0)
+            assert out and file_out == err == file_err == ""
+            assert strip_elapsed(out) == strip_elapsed(expected)
+            assert strip_elapsed(target.read_bytes().decode()) == strip_elapsed(expected)
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            [0, 0, 0, 0, 0, 0],
+            [0, 63, 0, 64, 65, 0],
+            [128, 0, 129, 0, 0, 1],
+            [1, 0, 0, 0, 0, 64],
+            [65, 129, 0, 128, 63, 64],
+        ],
+    )
+    def test_pieces_at_chunk_edges(self, capsys, tmp_path, monkeypatch, counts):
+        assert cli_module._ITEM_CHUNK == 64
+        fake = _fake_arrays(counts)
+        monkeypatch.setattr(cli_module.core, "resonance_arrays", fake)
+        arrays = fake((1, 2, 3, 4))
+        assert [len(flat) // (j - 1) for _, j, flat in arrays] == counts
+        self._check(capsys, tmp_path, (1, 2, 3, 4), _witnesses(arrays))
+
+    @pytest.mark.parametrize(
+        "weight", [(3, 5, 7), (1, 2, 3), (1, 5), (2, 3, 5, 7, 40), (3, 4, 6, 11, 30), (4, 6, 9, 11)]
+    )
+    def test_real_listings(self, capsys, tmp_path, weight):
+        self._check(capsys, tmp_path, weight, core.resonances(weight))
 
 
 def _fake_count(runs):

@@ -494,6 +494,37 @@ class TestResonances:
             expected = [w for w in listed if sum(w.k) <= bound]
             assert core.resonances(m, bound) == expected, (m, bound)
 
+    @settings(deadline=None, max_examples=100)
+    @given(resonance_weights() | shared_pair_weights(max_n=5), st.none() | st.integers(0, 6))
+    @example((2, 3, 5, 7, 40), None)
+    @example((4, 6, 9, 11), 3)
+    def test_arrays_reshape_to_the_witnesses(self, m, bound):
+        # One flat k array per pair i < j, j - 1 entries per witness.
+        arrays = core.resonance_arrays(m, bound)
+        n = len(m)
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        assert [(i, j) for i, j, _ in arrays] == pairs
+        reshaped = []
+        for i, j, flat in arrays:
+            assert type(flat) is list and len(flat) % (j - 1) == 0
+            reshaped += [(i, j, k) for k in zip(*[iter(flat)] * (j - 1))]
+        expected = [w for w in oracle_resonances(m) if bound is None or sum(w[2]) <= bound]
+        assert reshaped == expected
+        assert core.resonances(m, bound) == reshaped
+
+    def test_arrays_peak_follows_the_entries(self):
+        # The 53,415 witnesses of a benchmark listing hold one reference per
+        # k entry and no object per witness: 1.70 MiB measured, where the
+        # ResonanceWitness list peaks at 7.95 MiB.
+        tracemalloc.start()
+        try:
+            arrays = core.resonance_arrays((2, 3, 5, 7, 252))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(flat) // (j - 1) for _, j, flat in arrays) == 53_415
+        assert peak < 2.5 * 2**20
+
     def test_searched_and_tabled_suffixes_match_oracle(self, monkeypatch):
         # A suffix is searched until its searches have taken as many steps as
         # its Apery table has residues, and then tabled; both happen here.
