@@ -24,8 +24,8 @@ Long answers are written in runs and batches, not one item at a time:
   cached; a witness template per pair (i, j), with i and j in it.  Each
   stretch of at most ``_ITEM_CHUNK`` items that share a template (rows of
   one shape, witnesses of one pair) is one ``%`` of it repeated over their
-  values.  Witnesses are rendered from slices of the per-pair k arrays of
-  ``core.resonance_arrays``, with no tuple per witness.
+  values.  Witnesses are rendered from slices of the per-pair k arrays that
+  ``core.resonances`` holds, with no tuple per witness.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -424,32 +424,26 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
 
 
 @functools.cache
-def _witness_template(indent: str, i: int, j: int) -> str:
-    # i and j are filled in: a listing has one template per pair (i, j).
+def _witness_template(indent: str | None, i: int, j: int) -> str:
+    # i and j are filled in: a listing has one template per pair (i, j).  The
+    # JSON of a witness at ``indent``, or its text line without one.
+    if indent is None:
+        return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * (j - 1)) + "])"
     return _template({"i": i, "j": j, "k": [_SLOT] * (j - 1)}, indent)
 
 
-@functools.cache
-def _witness_line(i: int, j: int) -> str:
-    # The text line of a witness of the pair (i, j), as a template for its k.
-    return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * (j - 1)) + "])"
-
-
-def _witness_pieces(arrays, template: Callable[[int, int], str], sep: str) -> Iterator[str]:
-    """The witnesses of ``core.resonance_arrays`` rendered by
-    ``template(i, j) % k`` and joined by ``sep``: each stretch of at most
-    ``_ITEM_CHUNK`` witnesses of one pair is one piece and one ``%``, sliced
-    from its pair's array only when the piece is made."""
+def _witness_pieces(arrays, indent: str | None = None) -> Iterator[str]:
+    """The witnesses of ``Resonances.arrays`` as JSON at ``indent`` or, with
+    none, as text lines: each stretch of at most ``_ITEM_CHUNK`` witnesses
+    of one pair is one piece and one ``%`` of its template, sliced from its
+    pair's array only when the piece is made."""
+    sep = "\n" if indent is None else "," + indent
     for i, j, flat in arrays:
-        line = template(i, j)
+        line = _witness_template(indent, i, j)
         step = _ITEM_CHUNK * (j - 1)
         for start in range(0, len(flat), step):
             ks = flat[start : start + step]
             yield sep.join([line] * (len(ks) // (j - 1))) % tuple(ks)
-
-
-def _witnesses_json(arrays, indent: str) -> Iterator[str]:
-    return _witness_pieces(arrays, functools.partial(_witness_template, indent), "," + indent)
 
 
 @cli.command("resonances")
@@ -464,18 +458,18 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
     witnesses exist.
     """
     started = time.perf_counter()
-    arrays = core.resonance_arrays(core.validate_weight(weights))
-    count = sum(len(flat) // (j - 1) for _, j, flat in arrays)
+    witnesses = core.resonances(core.validate_weight(weights))
+    count = len(witnesses)
     result = {
         "weight": list(weights),
         "count": count,
-        "witnesses": _Templated(arrays, _witnesses_json),
+        "witnesses": _Templated(witnesses.arrays, _witness_pieces),
     }
 
     def text() -> Iterator[str]:
         yield f"weight: {' '.join(str(x) for x in weights)}"
         yield f"count: {count}"
-        yield from _witness_pieces(arrays, _witness_line, "\n")
+        yield from _witness_pieces(witnesses.arrays)
 
     _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
     if count:

@@ -23,7 +23,7 @@ from qcweights.model import (
     ClassFailure,
     MembershipVerdict,
     ObstructionSet,
-    ResonanceWitness,
+    Resonances,
     ScanRow,
     WeightError,
     WeightTuple,
@@ -436,23 +436,16 @@ def resonance_arrays(
     return [(i, j, solvers[j - 2](m[j - 1] - m[i - 1])) for i, j in pairs]
 
 
-def resonances(weight, _degree_bound: int | None = None) -> list[ResonanceWitness]:
+def resonances(weight, _degree_bound: int | None = None) -> Resonances:
     """All triples (i, j, k) with i < j and m_i + sum(m_r * k_r, r < j) = m_j,
-    sorted by (i, j, k).
+    sorted by (i, j, k), as a ``Resonances`` sequence of ``ResonanceWitness``.
 
     An empty result certifies that every origin-fixing rotation exponent
-    (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.  This is
-    ``resonance_arrays`` reshaped, as ``gaps()`` is ``gap_runs()``
-    flattened: one ``zip`` cuts each pair's array into its k tuples, which
-    ``map`` makes witnesses by ``tuple.__new__``, with no Python-level call
-    per witness.
+    (m_i - m_j) + sum(m_r * k_r) with i != j is nonzero.  The sequence holds
+    the arrays of ``resonance_arrays`` and makes each witness as it is read,
+    so listing costs what the walk costs.
     """
-    new, repeat = tuple.__new__, itertools.repeat
-    out: list[ResonanceWitness] = []
-    for i, j, flat in resonance_arrays(weight, _degree_bound):
-        ks = zip(*[iter(flat)] * (j - 1))
-        out += map(new, repeat(ResonanceWitness), zip(repeat(i), repeat(j), ks))
-    return out
+    return Resonances(resonance_arrays(weight, _degree_bound))
 
 
 def extend_ways(ways: list[int], part: int) -> list[int]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby, repeat
 from typing import NamedTuple
 
 
@@ -201,6 +201,71 @@ class ResonanceWitness(NamedTuple):
 
     def sort_key(self) -> tuple[int, int, tuple[int, ...]]:
         return (self.i, self.j, self.k)
+
+
+class Resonances(Sequence):
+    """An immutable sequence of ``ResonanceWitness`` held as flat k arrays.
+
+    ``arrays`` is a tuple of stretches ``(i, j, flat)``, each a run of
+    witnesses of the pair (i, j) whose k are listed one after another in
+    ``flat``, j - 1 entries apiece; the sequence is the witnesses of the
+    stretches in turn.  A listing of tens of thousands of witnesses then
+    holds one reference per k entry and no tuple per witness, and a writer
+    can render it stretch by stretch.  Witnesses are made as they are read.
+    It compares equal to and prints as the list of its witnesses.
+    """
+
+    __slots__ = ("arrays", "_len")
+
+    def __init__(self, arrays: Iterable[tuple[int, int, list[int]]] = ()) -> None:
+        arrays = tuple(arrays)
+        if any(len(flat) % (j - 1) for _, j, flat in arrays):
+            raise ValueError("Resonances holds j - 1 k entries per witness")
+        object.__setattr__(self, "arrays", arrays)
+        object.__setattr__(self, "_len", sum(len(flat) // (j - 1) for _, j, flat in arrays))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Resonances is immutable")
+
+    def __reduce__(self):
+        return Resonances, (self.arrays,)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        # One zip cuts a stretch's k entries into each witness's k, and map
+        # makes the witness by tuple.__new__, with no Python-level call.
+        new = tuple.__new__
+        return chain.from_iterable(
+            map(new, repeat(ResonanceWitness), zip(repeat(i), repeat(j), zip(*[iter(k)] * (j - 1))))
+            for i, j, k in self.arrays
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Resonances(
+                (i, j, [*chain.from_iterable(map(operator.itemgetter(2), run))])
+                for (i, j), run in groupby(list(self)[index], operator.itemgetter(0, 1))
+            )
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if 0 <= index:
+            for i, j, flat in self.arrays:
+                start = index * (j - 1)
+                if start < len(flat):
+                    return ResonanceWitness(i, j, tuple(flat[start : start + j - 1]))
+                index -= len(flat) // (j - 1)
+        raise IndexError("Resonances index out of range")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Resonances, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 class ScanRow(NamedTuple):

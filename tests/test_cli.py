@@ -18,9 +18,7 @@ from qcweights.cli import (
     _scan_rows_json,
     _set_line,
     _Templated,
-    _witness_line,
     _witness_pieces,
-    _witnesses_json,
     main,
 )
 from qcweights.counting import CountReport
@@ -28,6 +26,7 @@ from qcweights.model import (
     FAILURE_REASONS,
     ClassFailure,
     IntRuns,
+    Resonances,
     ResonanceWitness,
     ScanRow,
     window_interval,
@@ -887,7 +886,7 @@ class TestJsonWriter:
             (2, 3, []),
             (2, 4, list(range(3 * (length % 5)))),
         ]
-        tree = {"a": _Templated(arrays, _witnesses_json), "b": [True]}
+        tree = {"a": _Templated(arrays, _witness_pieces), "b": [True]}
         expected = {"a": _witness_dicts(arrays), "b": [True]}
         assert "".join(_json_chunks(tree)) == json.dumps(expected, sort_keys=True, indent=2)
 
@@ -967,7 +966,7 @@ class TestRowTemplates:
     @given(_witness_arrays())
     def test_witnesses_match_json_dumps(self, arrays):
         expected = _dumped("witnesses", _witness_dicts(arrays))
-        assert _streamed("witnesses", arrays, _witnesses_json) == expected
+        assert _streamed("witnesses", arrays, _witness_pieces) == expected
 
     @pytest.mark.parametrize("reason", [None, *FAILURE_REASONS])
     def test_every_failure_reason(self, reason):
@@ -983,7 +982,7 @@ class TestRowTemplates:
     def test_every_witness_length(self, k_len):
         arrays = [(1, k_len + 1, list(range(2**63, 2**63 + k_len)))]
         expected = _dumped("witnesses", [{"i": 1, "j": k_len + 1, "k": arrays[0][2]}])
-        assert _streamed("witnesses", arrays, _witnesses_json) == expected
+        assert _streamed("witnesses", arrays, _witness_pieces) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -994,7 +993,7 @@ class TestRowTemplates:
     def test_witness_batches_match_json_dumps(self, arrays):
         # Pairs of up to 140 witnesses, so pieces end inside and at a pair.
         expected = _dumped("witnesses", _witness_dicts(arrays))
-        assert _streamed("witnesses", arrays, _witnesses_json) == expected
+        assert _streamed("witnesses", arrays, _witness_pieces) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(_witness_arrays(max_witnesses=140))
@@ -1002,7 +1001,7 @@ class TestRowTemplates:
         expected = "\n".join(
             f"(i={w.i}, j={w.j}, k=[{', '.join(map(str, w.k))}])" for w in _witnesses(arrays)
         )
-        assert "\n".join(_witness_pieces(arrays, _witness_line, "\n")) == expected
+        assert "\n".join(_witness_pieces(arrays)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_scan_rows, min_size=1, max_size=3), st.data())
@@ -1013,17 +1012,17 @@ class TestRowTemplates:
         assert _streamed("rows", rows, _scan_rows_json) == expected
 
 
-def _fake_arrays(counts):
-    # resonance_arrays of a length-4 weight whose pairs, in (i, j) order,
-    # have the given numbers of witnesses, with distinct multi-digit k.
-    def resonance_arrays(weight):
+def _fake_resonances(counts):
+    # resonances of a length-4 weight whose pairs, in (i, j) order, have
+    # the given numbers of witnesses, with distinct multi-digit k.
+    def resonances(weight):
         pairs = [(i, j) for i in range(1, 4) for j in range(i + 1, 5)]
-        return [
+        return Resonances(
             (i, j, list(range(1000 * n, 1000 * n + (j - 1) * c)))
             for n, ((i, j), c) in enumerate(zip(pairs, counts))
-        ]
+        )
 
-    return resonance_arrays
+    return resonances
 
 
 def _resonances_outputs(weight, witnesses) -> dict[str, str]:
@@ -1072,9 +1071,9 @@ class TestWitnessArrays:
     )
     def test_pieces_at_chunk_edges(self, capsys, tmp_path, monkeypatch, counts):
         assert cli_module._ITEM_CHUNK == 64
-        fake = _fake_arrays(counts)
-        monkeypatch.setattr(cli_module.core, "resonance_arrays", fake)
-        arrays = fake((1, 2, 3, 4))
+        fake = _fake_resonances(counts)
+        monkeypatch.setattr(cli_module.core, "resonances", fake)
+        arrays = fake((1, 2, 3, 4)).arrays
         assert [len(flat) // (j - 1) for _, j, flat in arrays] == counts
         self._check(capsys, tmp_path, (1, 2, 3, 4), _witnesses(arrays))
 
@@ -1083,6 +1082,14 @@ class TestWitnessArrays:
     )
     def test_real_listings(self, capsys, tmp_path, weight):
         self._check(capsys, tmp_path, weight, core.resonances(weight))
+
+    @pytest.mark.parametrize("weight", [(3, 5, 7), (2, 3, 5, 7, 40), (3, 4, 6, 11, 30)])
+    def test_listing_follows_core_resonances(self, capsys, tmp_path, monkeypatch, weight):
+        # The command lists what core.resonances returns: one that drops its
+        # last witness shows in the output, and an empty listing is unchanged.
+        listed = core.resonances
+        monkeypatch.setattr(cli_module.core, "resonances", lambda w: listed(w)[:-1])
+        self._check(capsys, tmp_path, weight, list(listed(weight))[:-1])
 
 
 def _fake_count(runs):

@@ -1,5 +1,7 @@
+import copy
 import functools
 import math
+import pickle
 import tracemalloc
 from collections import Counter
 
@@ -15,6 +17,7 @@ from qcweights.model import (
     NO_WINDOW_EXISTS,
     OBSTRUCTION_SET_HIT,
     ClassFailure,
+    Resonances,
     ResonanceWitness,
     ScanRow,
     WeightError,
@@ -440,6 +443,66 @@ class TestIsInClass:
         assert peak < 1 << 20
 
 
+_stretches = st.lists(
+    st.tuples(st.integers(1, 3), st.integers(2, 5), st.lists(st.integers(0, 9), max_size=9)),
+    max_size=5,
+).map(lambda raw: [(i, j, k[: len(k) // (j - 1) * (j - 1)]) for i, j, k in raw])
+
+
+class TestResonancesSequence:
+    @settings(deadline=None, max_examples=200)
+    @given(_stretches)
+    def test_acts_as_the_list(self, arrays):
+        listed = Resonances(arrays)
+        plain = [
+            ResonanceWitness(i, j, k) for i, j, flat in arrays for k in zip(*[iter(flat)] * (j - 1))
+        ]
+        assert listed == plain and plain == listed and listed == Resonances(arrays)
+        assert repr(listed) == repr(plain)
+        assert len(listed) == len(plain) and list(listed) == plain
+        assert [listed[x] for x in range(-len(plain), len(plain))] == [
+            plain[x] for x in range(-len(plain), len(plain))
+        ]
+        for cut in (slice(None, -1), slice(1, None), slice(None, None, 2), slice(None, None, -1)):
+            assert type(listed[cut]) is Resonances and listed[cut] == plain[cut]
+        assert all(type(w) is ResonanceWitness and type(w.k) is tuple for w in listed)
+        assert list(reversed(listed)) == plain[::-1]
+
+    def test_slices_keep_the_arrays_form(self):
+        listed = core.resonances((1, 2, 3))
+        assert listed[:-1].arrays == ((1, 2, [1]), (1, 3, [0, 1, 2, 0]))
+        assert listed[::-1].arrays == ((2, 3, [1, 0]), (1, 3, [2, 0, 0, 1]), (1, 2, [1]))
+        assert listed[5:].arrays == ()
+
+    def test_index_out_of_range(self):
+        listed = core.resonances((1, 2, 3))
+        for bad in (4, -5):
+            with pytest.raises(IndexError):
+                listed[bad]
+        with pytest.raises(IndexError):
+            Resonances()[0]
+
+    def test_not_equal_to_other_types(self):
+        listed = core.resonances((1, 5))
+        assert listed != ((1, 2, (4,)),)
+        assert listed != [(1, 2, (5,))]
+        assert listed == [(1, 2, (4,))]
+        assert Resonances([(1, 3, [0, 1]), (1, 3, [2, 0])]) == Resonances([(1, 3, [0, 1, 2, 0])])
+
+    def test_immutable_and_copyable(self):
+        listed = core.resonances((2, 3, 5, 7))
+        with pytest.raises(AttributeError):
+            listed.arrays = ()
+        with pytest.raises(TypeError):
+            hash(listed)
+        assert copy.deepcopy(listed) == listed
+        assert pickle.loads(pickle.dumps(listed)) == listed
+
+    def test_stretches_must_hold_whole_witnesses(self):
+        with pytest.raises(ValueError, match="j - 1"):
+            Resonances([(1, 3, [0, 1, 2])])
+
+
 class TestResonances:
     def test_frozen_witness_lists(self):
         assert [(w.i, w.j, w.k) for w in core.resonances((1, 2, 3))] == [
@@ -512,16 +575,18 @@ class TestResonances:
         assert reshaped == expected
         assert core.resonances(m, bound) == reshaped
 
-    def test_arrays_peak_follows_the_entries(self):
+    @pytest.mark.parametrize("listing", ["resonance_arrays", "resonances"])
+    def test_arrays_peak_follows_the_entries(self, listing):
         # The 53,415 witnesses of a benchmark listing hold one reference per
         # k entry and no object per witness: 1.70 MiB measured, where the
         # ResonanceWitness list peaks at 7.95 MiB.
         tracemalloc.start()
         try:
-            arrays = core.resonance_arrays((2, 3, 5, 7, 252))
+            listed = getattr(core, listing)((2, 3, 5, 7, 252))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        arrays = listed.arrays if listing == "resonances" else listed
         assert sum(len(flat) // (j - 1) for _, j, flat in arrays) == 53_415
         assert peak < 2.5 * 2**20
 
