@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from collections.abc import Callable, Iterable, Iterator
+from itertools import compress
 
 from qcweights import semigroup
 from qcweights.model import (
@@ -24,7 +26,7 @@ from qcweights.model import (
     MembershipVerdict,
     ObstructionSet,
     Resonances,
-    ScanRow,
+    ScanRows,
     WeightError,
     WeightTuple,
     window_interval,
@@ -462,6 +464,31 @@ def extend_ways(ways: list[int], part: int) -> list[int]:
     return out
 
 
+# What an m makes at the last level of a scan, besides no row (0): a row with
+# the prefix's verdict, an obstruction hit, or a no-window row.
+_PASS, _HIT, _NO_WINDOW = 1, 2, 3
+# Semigroup.member_mask as kinds: a member is no row under the in-class
+# filter and an obstruction hit otherwise.
+_IN_CLASS_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, 0)))
+_ROW_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, _HIT)))
+# A maximal run of rows of one kind.
+_RUNS = re.compile(rb"\x01+|\x02+|\x03+")
+
+
+def _prime_factors(n: int) -> list[int]:
+    # The distinct primes that divide n >= 1, by trial division.
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def _cached_size(
     group: semigroup.Semigroup, window_sizes: dict[int, int], sigma: int, m: int
 ) -> int | None:
@@ -478,47 +505,67 @@ def _cached_size(
 
 def scan(
     n: int, max_weight: int, *, in_class_only: bool = False, resonance_free_only: bool = False
-) -> list[ScanRow]:
+) -> ScanRows:
     """Every valid weight of length n with entries <= max_weight, in
     lexicographic order, with its verdict, resonance count and the
-    obstruction-set size of each level's window.
+    obstruction-set size of each level's window, as a ``ScanRows`` sequence
+    of ``ScanRow``.
 
     One depth-first walk over prefixes: an entry m_j is judged against its
     prefix alone, so each prefix's verdict, semigroup, coin-change counts
     and window sizes are made once and shared by all its extensions.  They
     live only while that prefix is being extended.  Each prefix's
     ``semigroup.Semigroup`` is its parent's ``child``, so a prefix of three
-    or more entries derives its Apery table from its parent's in one pass
-    and answers every test by a lookup in it; a two-entry prefix answers in
-    closed form and builds its table only for a child.  Both filters hold
-    for a weight only if they hold for each of its prefixes (a failure is
-    final and the witnesses of a prefix are witnesses of the weight), so
-    they prune whole subtrees.
+    or more entries derives its Apery table from its parent's in one pass;
+    a two-entry prefix answers in closed form and builds its table only for
+    a child.  Both filters hold for a weight only if they hold for each of
+    its prefixes (a failure is final and the witnesses of a prefix are
+    witnesses of the weight), so they prune whole subtrees.
 
     Inner prefixes are judged by ``_Prefix.judge``.  The last level, which
-    makes every row, has its own loop that does only what a row needs: one
-    ``divmod`` by the prefix sum gives the window index and the no-window
-    test, one ``contains`` call the obstruction test, and the resonance
-    counts of all its rows are read off the coin-change counts at the
-    prefix entries' fixed offsets.  Window sizes come from
+    makes every row, selects its rows without a call per m.  A ``bytearray``
+    over 0..max_weight marks what each m would make: no row where m shares a
+    prime with the prefix gcd, else a pass, an obstruction hit where m lies
+    in the prefix's semigroup (``Semigroup.member_mask``, one slice
+    assignment per progression) or no window where the prefix sum divides
+    m.  The resonance counts of all its rows are read off the coin-change
+    counts at the prefix entries' fixed offsets.  Each window's rows are then
+    one ``itertools.compress`` over its integers and one over its counts, and
+    are kept as stretches that share their witnesses, failure and window
+    sizes: one stretch per window under the in-class filter, and otherwise
+    one per maximal run of one failure.  Window sizes come from
     ``Semigroup.window_size``, which counts a two-entry window's progression
-    terms without listing them.
+    terms without listing them, once per window that makes a row.  The rows
+    of a stretch are made only as the returned sequence is read.
     """
     n, max_weight = operator.index(n), operator.index(max_weight)
     if n < 2:
         raise WeightError(f"scan needs n >= 2, got {n}")
     if max_weight < n:
         raise WeightError(f"scan needs max >= n, got max {max_weight} with n {n}")
-    rows: list[ScanRow] = []
-    append, new_row = rows.append, tuple.__new__
+    stretches: list[tuple] = []
+    append = stretches.append
+    # Windows of many prefixes have equal witness chains and window sizes,
+    # so each distinct tuple is held once.
+    shared = {}.setdefault
+    base_m1 = ClassFailure(BASE_CASE_M1, 2)
     no_window = ClassFailure(NO_WINDOW_EXISTS, n)
     hit = ClassFailure(OBSTRUCTION_SET_HIT, n)
+    kinds_of_members = _IN_CLASS_KINDS if in_class_only else _ROW_KINDS
     # Deficits m_j - m_i stay below max_weight.
     unit = [1] + [0] * max_weight
 
     def leaf(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
-        entries, sigma, group = prefix.entries, prefix.sigma, prefix.group
+        entries, group, head = prefix.entries, prefix.group, prefix.witnesses
         start, stop = entries[-1] + 1, max_weight + 1
+        failure = prefix.failure
+        level_2 = len(entries) < 2
+        if level_2:
+            # gcd is m_1, so the multiples of m_1, which fail the base case
+            # by divisibility, never make a row.
+            failure = base_m1 if entries[0] < 2 else None
+        if in_class_only and failure is not None:
+            return
         # The m-th count is n_res plus the witnesses of the pairs (i, n), each
         # read from ways at m - m_i.
         counts = ways[start - entries[0] : stop - entries[0]]
@@ -526,58 +573,67 @@ def scan(
             counts = map(operator.add, counts, ways[start - e : stop - e])
         if n_res:
             counts = map(n_res.__add__, counts)
-        if len(entries) < 2 or prefix.failure is not None:
-            # Level 2 or a failed prefix, which no in-class row extends: the
-            # general rule.
-            window_sizes: dict[int, int] = {}
-            for m, count in zip(range(start, stop), counts):
-                if math.gcd(gcd, m) != 1:
-                    continue
-                witnesses, failure = prefix.judge(m)
-                if in_class_only and failure is not None:
-                    continue
-                if resonance_free_only and count:
-                    continue
-                level_sizes = sizes
-                if len(entries) >= 2:
-                    level_sizes = (*sizes, _cached_size(group, window_sizes, sigma, m))
-                append(new_row(ScanRow, ((*entries, m), witnesses, failure, count, level_sizes)))
-            return
-        # ``group.contains`` is read per test, not bound here: a child's
-        # first test swaps it for a lookup in the table it derives.
-        head = prefix.witnesses
-        # Per window index, the passing witness chain and the window sizes,
-        # shared by every row in the window; made at its first row.
-        windows: dict[int, tuple[tuple[int, ...], tuple]] = {}
-        no_window_sizes = (*sizes, None)
-        for m, count in zip(range(start, stop), counts):
-            if gcd != 1 and math.gcd(gcd, m) != 1:
+        counts = list(counts)
+        # kinds[m]: 0 no row, _PASS a row of the prefix's verdict, _HIT an
+        # obstruction hit, _NO_WINDOW a multiple of the prefix sum.  Level 2
+        # has no window, which one window as wide as the scan gives.
+        sigma = stop if level_2 else prefix.sigma
+        if resonance_free_only:
+            # A member m of the prefix's semigroup, a multiple of sigma
+            # among them, is some m_i plus a member, so ways[m - m_i] and its
+            # count are nonzero: the zero counts are the rows, and all pass.
+            kinds = bytearray(start) + bytes(map(operator.not_, counts))
+        elif failure is None and not level_2:
+            # m exceeds every prefix entry, so it is blocked exactly when it
+            # lies in the prefix's semigroup.  The multiples of sigma are
+            # members too, so the in-class filter has dropped them already.
+            kinds = group.member_mask(stop).translate(kinds_of_members)
+        else:
+            kinds = bytearray((_PASS,)) * stop
+        # Under either filter every row is of the prefix's verdict.
+        one_kind = in_class_only or resonance_free_only
+        if not one_kind:
+            kinds[::sigma] = bytes((_NO_WINDOW,)) * len(range(0, stop, sigma))
+        if gcd != 1:
+            for p in _prime_factors(gcd):
+                kinds[::p] = bytes(len(range(0, stop, p)))
+        for lo in range(start - start % sigma, stop, sigma):
+            first = lo if lo > start else start
+            hi = lo + sigma
+            selected = kinds[first:hi]
+            ms = [*compress(range(first, hi), selected)]
+            if not ms:
                 continue
-            below, rest = divmod(m, sigma)
-            if not rest:
-                failure = no_window
-            elif group.contains(m):
-                # m exceeds every prefix entry, so it is blocked exactly when
-                # it lies in the prefix's semigroup.
-                failure = hit
-            else:
-                failure = None
-            if in_class_only and failure is not None:
+            cs = [*compress(counts[first - start : hi - start], selected)]
+            if level_2:
+                append((entries, (), failure, sizes, ms, cs))
                 continue
-            if resonance_free_only and count:
+            window = lo // sigma + 1
+            if one_kind:
+                window_sizes = (*sizes, group.window_size(window))
+                witnesses = head if failure is not None else (*head, window)
+                append(
+                    (entries, shared(witnesses, witnesses), failure,
+                     shared(window_sizes, window_sizes), ms, cs)
+                )
                 continue
-            if rest:
-                window = windows.get(below)
-                if window is None:
-                    window = windows[below] = (
-                        (*head, below + 1), (*sizes, group.window_size(below + 1))
-                    )
-                witnesses, level_sizes = window
-                if failure is not None:
-                    witnesses = head
-            else:
-                witnesses, level_sizes = head, no_window_sizes
-            append(new_row(ScanRow, ((*entries, m), witnesses, failure, count, level_sizes)))
+            # Split the window into runs of one kind; a no-window row can
+            # only open it.
+            kept = selected.translate(None, b"\0")
+            window_sizes = None
+            if kept[-1] != _NO_WINDOW:
+                window_sizes = (*sizes, group.window_size(window))
+            rows_of = (
+                None,
+                (head, failure, window_sizes)
+                if failure is not None
+                else ((*head, window), None, window_sizes),
+                (head, hit, window_sizes),
+                (head, no_window if failure is None else failure, (*sizes, None)),
+            )
+            for run in _RUNS.finditer(kept):
+                a, b = run.span()
+                append((entries, *rows_of[kept[a]], ms[a:b], cs[a:b]))
 
     def walk(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
         depth = len(prefix.entries)
@@ -602,7 +658,12 @@ def scan(
 
     for first in range(1, max_weight - n + 2):
         walk(_Prefix(semigroup.Semigroup((first,))), first, extend_ways(unit, first), 0, ())
-    return rows
+    # walk reaches itself through its closure.  Breaking that cycle frees the
+    # closures, and the list of stretches they hold, when scan returns, so
+    # the rows go as soon as the returned sequence does, not at the next
+    # cyclic collection.
+    del walk
+    return ScanRows(stretches)
 
 
 def _bounded_multi_indices(length: int, total: int) -> Iterator[tuple[int, ...]]:

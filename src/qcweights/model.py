@@ -286,3 +286,87 @@ class ScanRow(NamedTuple):
     @property
     def in_class(self) -> bool:
         return self.failure is None
+
+
+class ScanRows(Sequence):
+    """An immutable sequence of ``ScanRow`` held as per-window stretches.
+
+    ``stretches`` is a tuple of ``(head, witnesses, failure, sizes, ms,
+    counts)``, each a run of rows whose weights are ``(*head, m)`` for the m
+    of the list ``ms``, in order, whose ``n_resonances`` are the matching
+    entries of the list ``counts``, and which share their ``witnesses``,
+    ``failure`` and ``i_set_sizes`` (``sizes``).  The sequence is the rows of
+    the stretches in turn.  A scan of tens of thousands of rows then holds
+    two list entries per row and no tuple per row, and a writer can render
+    it stretch by stretch.  Rows are made as they are read.  It compares
+    equal to and prints as the list of its rows.
+    """
+
+    __slots__ = ("stretches", "_len")
+
+    def __init__(self, stretches: Iterable[tuple] = ()) -> None:
+        stretches = tuple(stretches)
+        if any(len(ms) != len(counts) for *_, ms, counts in stretches):
+            raise ValueError("ScanRows holds one count per m")
+        object.__setattr__(self, "stretches", stretches)
+        object.__setattr__(self, "_len", sum(len(stretch[4]) for stretch in stretches))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ScanRows is immutable")
+
+    def __reduce__(self):
+        return ScanRows, (self.stretches,)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        # zip(ms) wraps each m in a 1-tuple, which head.__add__ turns into
+        # the weight; map makes the row by tuple.__new__, with no
+        # Python-level call.
+        new = tuple.__new__
+        return chain.from_iterable(
+            map(
+                new,
+                repeat(ScanRow),
+                zip(
+                    map(head.__add__, zip(ms)),
+                    repeat(witnesses),
+                    repeat(failure),
+                    counts,
+                    repeat(sizes),
+                ),
+            )
+            for head, witnesses, failure, sizes, ms, counts in self.stretches
+        )
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            stretches = []
+            for key, run in groupby(list(self)[index], _stretch_key):
+                run = list(run)
+                ms = [row.weight[-1] for row in run]
+                stretches.append((*key, ms, [row.n_resonances for row in run]))
+            return ScanRows(stretches)
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if 0 <= index:
+            for head, witnesses, failure, sizes, ms, counts in self.stretches:
+                if index < len(ms):
+                    return ScanRow((*head, ms[index]), witnesses, failure, counts[index], sizes)
+                index -= len(ms)
+        raise IndexError("ScanRows index out of range")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (ScanRows, list)):
+            return len(self) == len(other) and list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _stretch_key(row: ScanRow) -> tuple:
+    # What the rows of one stretch share: (head, witnesses, failure, sizes).
+    return row.weight[:-1], row.witnesses, row.failure, row.i_set_sizes

@@ -25,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -154,10 +155,12 @@ class Semigroup:
 
     ``contains(t)`` tells whether t is a nonnegative combination of the
     generators, and is false for every t < 0.  ``window(M)`` is the
-    obstruction set of window M over the generators, ``table`` their Apery
-    table and ``suffix`` the semigroup of gens[1:]; both are made on first
-    use.  ``contains`` is chosen when the value is made, so each test is
-    one call:
+    obstruction set of window M over the generators, ``window_size(M)`` its
+    size and ``member_mask(stop)`` the membership of 0, ..., stop - 1 as a
+    ``bytearray``; all three read the semigroup as the arithmetic
+    progressions of ``_progressions``.  ``table`` is the Apery table and
+    ``suffix`` the semigroup of gens[1:]; both are made on first use.
+    ``contains`` is chosen when the value is made, so each test is one call:
 
     - one generator g: divisibility by g;
     - two, a < b: with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for
@@ -275,9 +278,8 @@ class Semigroup:
             return obstruction_set_fast(self.gens, M, self.table)
         a, b = self.gens
         lo, hi = window_interval(a + b, M)
-        starts = range(0, min(a // self.d * b, hi), b)
         minimal = {a} if b % a == 0 else {a, b}
-        return _window(self.gens, M, lo, hi, a, starts, minimal)
+        return _window(self.gens, M, lo, hi, *self._progressions(hi), minimal)
 
     def window_size(self, M: int) -> int:
         """``len(self.window(M).elements)``.
@@ -295,12 +297,45 @@ class Semigroup:
         lo, hi = window_interval(a + b, M)
         first_in = lo + 1
         size = 0
-        for start in range(0, min(a // self.d * b, hi), b):
+        for start in self._progressions(hi)[1]:
             first = start if start >= first_in else first_in + (start - first_in) % a
             size += (hi - 1 - first) // a + 1
         if M == 1:
             size -= 1 if b % a == 0 else 2
         return size
+
+    def member_mask(self, stop: int) -> bytearray:
+        """A ``bytearray`` over 0, ..., stop - 1 that is 1 at the
+        semigroup's elements and 0 elsewhere.
+
+        Each progression below ``stop`` is one slice assignment, so the mask
+        costs one C-level pass per residue class and no call per integer.
+        """
+        step, starts = self._progressions(stop)
+        # Each progression is given as many terms as the longest has, so the
+        # mask runs past stop until it is cut back.
+        terms = (stop - 1) // step + 1
+        span = terms * step
+        mask = bytearray(stop + span)
+        ones = b"\x01" * terms
+        for start in starts:
+            mask[start : start + span : step] = ones
+        del mask[stop:]
+        return mask
+
+    def _progressions(self, hi: int) -> tuple[int, Iterable[int]]:
+        """The step and the starts below ``hi`` of the arithmetic
+        progressions whose union is the semigroup.
+
+        Two generators a < b need no table: their classes modulo a start at
+        the multiples k*b, k < a/gcd(a, b), the step being a.  Any other count
+        reads its classes' least values off the table, the step being m_1.
+        """
+        if len(self.gens) == 2:
+            a, b = self.gens
+            return a, range(0, min(a // self.d * b, hi), b)
+        table = self.table
+        return table.modulus, _table_starts(table, hi)
 
 
 def _window(
@@ -376,6 +411,10 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
         )
     M = _check_window(M)
     lo, hi = window_interval(sum(pref), M)
-    starts = [least for least in table.least if least is not None and least < hi]
     minimal = _minimal_generators(table) if M == 1 else set()
-    return _window(pref, M, lo, hi, table.modulus, starts, minimal)
+    return _window(pref, M, lo, hi, table.modulus, _table_starts(table, hi), minimal)
+
+
+def _table_starts(table: AperyTable, hi: int) -> list[int]:
+    # The least value of each reachable class that lies below hi.
+    return [least for least in table.least if least is not None and least < hi]

@@ -20,6 +20,7 @@ from qcweights.model import (
     Resonances,
     ResonanceWitness,
     ScanRow,
+    ScanRows,
     WeightError,
 )
 
@@ -947,6 +948,92 @@ class TestScan:
         )
         assert rows == expected
         assert all(type(row) is ScanRow for row in rows)
+
+    def test_peak_follows_the_stretches(self):
+        # Rows are held as per-window stretches of m and count, with the
+        # witness and size tuples shared; a list of 32,865 ScanRow peaked at
+        # 5.3 MiB.
+        tracemalloc.start()
+        try:
+            rows = core.scan(3, 70, in_class_only=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 32865
+        assert peak < 2.5 * 2**20
+
+
+_scan_stretches = st.lists(
+    st.tuples(
+        st.lists(st.integers(1, 30), min_size=1, max_size=3).map(tuple),
+        st.lists(st.integers(1, 5), max_size=2).map(tuple),
+        st.none() | st.builds(ClassFailure, st.sampled_from(FAILURE_REASONS), st.integers(2, 5)),
+        st.lists(st.none() | st.integers(0, 9), max_size=2).map(tuple),
+        st.lists(st.tuples(st.integers(1, 40), st.integers(0, 5)), max_size=6),
+    ),
+    max_size=5,
+).map(lambda raw: [(h, w, f, s, [m for m, _ in mc], [c for _, c in mc]) for h, w, f, s, mc in raw])
+
+
+class TestScanRowsSequence:
+    @settings(deadline=None, max_examples=200)
+    @given(_scan_stretches)
+    def test_acts_as_the_list(self, stretches):
+        listed = ScanRows(stretches)
+        plain = [
+            ScanRow((*head, m), witnesses, failure, count, sizes)
+            for head, witnesses, failure, sizes, ms, counts in stretches
+            for m, count in zip(ms, counts)
+        ]
+        assert listed == plain and plain == listed and listed == ScanRows(stretches)
+        assert repr(listed) == repr(plain)
+        assert len(listed) == len(plain) and list(listed) == plain
+        assert [listed[x] for x in range(-len(plain), len(plain))] == [
+            plain[x] for x in range(-len(plain), len(plain))
+        ]
+        for cut in (slice(None, -1), slice(1, None), slice(None, None, 2), slice(None, None, -1)):
+            assert type(listed[cut]) is ScanRows and listed[cut] == plain[cut]
+        assert all(type(row) is ScanRow and type(row.weight) is tuple for row in listed)
+        assert list(reversed(listed)) == plain[::-1]
+
+    def test_slices_regroup_the_stretches(self):
+        # A slice holds one stretch per run of its rows that share all but
+        # their last entry and their count.
+        shared = ((1,), None, (1,))
+        rows = ScanRows([((3, 4), *shared, [5, 7], [0, 0]), ((3, 5), *shared, [7], [0])])
+        assert rows[1:].stretches == (((3, 4), *shared, [7], [0]), ((3, 5), *shared, [7], [0]))
+        assert rows[::2].stretches == (((3, 4), *shared, [5], [0]), ((3, 5), *shared, [7], [0]))
+        assert rows[:2].stretches == (((3, 4), *shared, [5, 7], [0, 0]),)
+        assert rows[5:].stretches == ()
+
+    def test_index_out_of_range(self):
+        rows = core.scan(3, 6, in_class_only=True)
+        assert len(rows) == 2
+        for bad in (2, -3):
+            with pytest.raises(IndexError):
+                rows[bad]
+        with pytest.raises(IndexError):
+            ScanRows()[0]
+
+    def test_not_equal_to_other_types(self):
+        rows = core.scan(2, 3, in_class_only=True)
+        assert rows == [ScanRow((2, 3), (), None, 0, ())]
+        assert rows == [((2, 3), (), None, 0, ())]
+        assert rows != (((2, 3), (), None, 0, ()),)
+        assert ScanRows() == [] and ScanRows([((1,), (), None, (), [], [])]) == []
+
+    def test_immutable_and_copyable(self):
+        rows = core.scan(4, 10)
+        with pytest.raises(AttributeError):
+            rows.stretches = ()
+        with pytest.raises(TypeError):
+            hash(rows)
+        assert copy.deepcopy(rows) == rows
+        assert pickle.loads(pickle.dumps(rows)) == rows
+
+    def test_stretches_must_pair_each_m_with_a_count(self):
+        with pytest.raises(ValueError, match="one count per m"):
+            ScanRows([((3,), (), None, (), [4, 5], [0])])
 
 
 class TestLargeInputs:

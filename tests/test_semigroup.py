@@ -339,6 +339,27 @@ class TestSemigroup:
         if len(gens) <= 3:
             assert list(got.elements) == oracle_window_elements(gens, window)
 
+    @settings(deadline=None, max_examples=80)
+    @given(generator_tuples, st.integers(0, 80))
+    @example((4,), 9)
+    @example((2, 4), 11)
+    @example((3, 9), 1)
+    @example((6, 10, 15), 47)
+    @example((1, 2), 0)
+    def test_member_mask_matches_contains(self, gens, stop):
+        # One slice assignment per progression below stop marks the members.
+        sieve = semigroup.build_sieve(gens, stop)
+        expected = bytearray(sieve_contains(sieve, t) for t in range(stop))
+        assert semigroup.Semigroup(gens).member_mask(stop) == expected
+        assert derived(gens).member_mask(stop) == expected
+
+    def test_pair_member_mask_builds_no_table(self, monkeypatch):
+        calls = table_calls(monkeypatch, stub=True)
+        mask = semigroup.Semigroup((199039, 199049)).member_mask(398099)
+        assert calls == Counter()
+        members = [t for t in range(398099) if mask[t]]
+        assert members == [0, 199039, 199049, 398078, 398088, 398098]
+
     @pytest.mark.parametrize("gens", [(3,), (3, 5), (4, 6), (20, 22, 24), (6, 10, 15, 21)])
     def test_negative_targets_spend_nothing(self, monkeypatch, gens):
         # False at once, on every path, with no search step and no table.
