@@ -19,13 +19,18 @@ Long answers are written in runs and batches, not one item at a time:
   its shared leading digits joined with the 1,000 three-digit suffixes;
   partial blocks and block 0 are written integer by integer.  JSON arrays
   and text sets do the same, with their own separators.
-- Scan rows and resonance witnesses are rendered through a
-  ``%``-template per item shape, made once from ``_render_json`` and
-  cached; a witness template per pair (i, j), with i and j in it.  Each
-  stretch of at most ``_ITEM_CHUNK`` items that share a template (rows of
-  one shape, witnesses of one pair) is one ``%`` of it repeated over their
-  values.  Witnesses are rendered from slices of the per-pair k arrays that
-  ``core.resonances`` holds, with no tuple per witness.
+- Resonance witnesses are rendered through a ``%``-template per pair
+  (i, j), made once from ``_render_json`` with i and j in it and cached.
+  Each stretch of at most ``_ITEM_CHUNK`` witnesses of one pair is one
+  ``%`` of it repeated over their k, sliced from the per-pair k arrays
+  that ``core.resonances`` holds, with no tuple per witness.
+- Scan rows are rendered from the per-window stretches that
+  ``core.scan`` holds (``ScanRows.stretches``).  A stretch's rows differ
+  only in their last entry and their count, so its line is made once, in
+  JSON from the cached ``_scan_row_template`` of its shape, with every
+  other slot filled; text and CSV lines are made the same way.  Each piece
+  of at most ``_ITEM_CHUNK`` rows is then one ``%`` of its rows' lines over
+  their last entries and counts, with no tuple per row.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -50,7 +55,7 @@ from qcweights.model import (
     IntRuns,
     MembershipVerdict,
     ObstructionSet,
-    ScanRow,
+    ScanRows,
     WeightError,
     window_interval,
 )
@@ -94,9 +99,9 @@ _backend_option = click.option(
 _INT_CHUNK = 4096
 
 # A ``_Templated`` array, scan rows or resonance witnesses of a few hundred
-# bytes each, is written this many items per chunk, with one ``%`` per
-# stretch of a chunk that shares a template.  A ``%`` over a longer batch
-# grows the heap: at 256 items, rendering the 32,865 rows of
+# bytes each, is written this many items per chunk, with one ``%`` per chunk
+# of rows and per stretch of a chunk's witnesses of one pair.  A ``%`` over
+# a longer batch grows the heap: at 256 items, rendering the 32,865 rows of
 # ``scan --n 3 --max 70`` raised peak RSS by 2 MB after one pass and 5 MB
 # after nine; at 64, by nothing.
 _ITEM_CHUNK = 64
@@ -244,7 +249,8 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     elif type(value) is _Templated:
         head = "[" + inner
         for piece in value.render(value.items, inner):
-            yield head + piece
+            yield head
+            yield piece
             head = "," + inner
         yield "[]" if head[0] == "[" else indent + "]"
     elif isinstance(value, (list, tuple)):
@@ -626,48 +632,86 @@ def _scan_row_template(
     )
 
 
-def _scan_rows_json(rows: list[ScanRow], indent: str) -> Iterator[str]:
-    """The rows' JSON, ``_ITEM_CHUNK`` rows per piece, with one ``%`` per
-    stretch of consecutive rows of a piece that share a
-    ``_scan_row_template``."""
-    sep = "," + indent
-    for start in range(0, len(rows), _ITEM_CHUNK):
-        parts = []
-        shape = None
-        count = 0
-        values: list = []
-        for weight, witnesses, failure, n_resonances, sizes in rows[start : start + _ITEM_CHUNK]:
-            row_shape = (len(weight), len(witnesses), len(sizes), failure is not None)
-            if row_shape != shape:
-                if count:
-                    batch = sep.join([_scan_row_template(*shape, indent)] * count)
-                    parts.append(batch % tuple(values))
-                shape, count, values = row_shape, 0, []
-            if failure is not None:
-                values += (failure.level, encode_basestring_ascii(failure.reason))
-            if None in sizes:
-                sizes = ["null" if s is None else s for s in sizes]
-            values += sizes
-            values.append(n_resonances)
-            values += weight
-            values += witnesses
-            count += 1
-        parts.append(sep.join([_scan_row_template(*shape, indent)] * count) % tuple(values))
-        yield sep.join(parts)
+def _scan_json_line(indent: str, stretch: tuple) -> str:
+    # The JSON of a row of the stretch with its fixed slots filled: a
+    # template whose two slots are the row's n_resonances and its last entry.
+    head, witnesses, failure, sizes = stretch[:4]
+    if None in sizes:
+        sizes = ["null" if s is None else s for s in sizes]
+    template = _scan_row_template(
+        len(head) + 1, len(witnesses), len(sizes), failure is not None, indent
+    )
+    if failure is None:
+        return template % (*sizes, "%s", *head, "%s", *witnesses)
+    reason = encode_basestring_ascii(failure.reason).replace("%", "%%")
+    return template % (failure.level, reason, *sizes, "%s", *head, "%s", *witnesses)
 
 
-def _scan_text(rows: list[ScanRow]) -> Iterator[str]:
-    for row in rows:
-        parts = [
-            " ".join(str(x) for x in row.weight),
-            f"in_class={_fmt_bool(row.in_class)}",
-            f"witnesses={_fmt_list(row.witnesses)}",
-            f"resonances={row.n_resonances}",
-            "i_sizes=" + _fmt_list("-" if s is None else s for s in row.i_set_sizes),
-        ]
-        if row.failure is not None:
-            parts.append(f"failure={row.failure.reason}@{row.failure.level}")
-        yield "  ".join(parts)
+def _scan_text_line(stretch: tuple) -> str:
+    # The text line of a row of the stretch, with slots for its last entry
+    # and its n_resonances.
+    head, witnesses, failure, sizes = stretch[:4]
+    parts = [
+        "".join(f"{e} " for e in head) + "%s",
+        f"in_class={_fmt_bool(failure is None)}",
+        f"witnesses={_fmt_list(witnesses)}",
+        "resonances=%s",
+        "i_sizes=" + _fmt_list("-" if s is None else s for s in sizes),
+    ]
+    if failure is not None:
+        parts.append(f"failure={failure.reason}@{failure.level}".replace("%", "%%"))
+    return "  ".join(parts)
+
+
+def _scan_csv_line(stretch: tuple) -> str:
+    # The CSV line of a row of the stretch, with slots for its last entry and
+    # its n_resonances.  Those two fields and the weight are digits and
+    # spaces, which csv never quotes; the writer quotes the others.
+    head, witnesses, failure, sizes = stretch[:4]
+    middle = _CSV.writerow([_fmt_bool(failure is None), " ".join(map(str, witnesses))])
+    tail = _CSV.writerow([
+        " ".join("-" if s is None else str(s) for s in sizes),
+        "" if failure is None else f"{failure.reason}@{failure.level}",
+    ])
+    fixed = middle[:-1].replace("%", "%%"), tail.replace("%", "%%")
+    return "".join(f"{e} " for e in head) + "%s,{0},%s,{1}".format(*fixed)
+
+
+def _row_pieces(
+    stretches, line: Callable[[tuple], str], sep: str, count_first: bool
+) -> Iterator[str]:
+    """The rows of ``ScanRows.stretches`` joined by ``sep``, in pieces of
+    ``_ITEM_CHUNK`` rows, the last one shorter.  ``line(stretch)`` is a row
+    of the stretch with two slots left, its last entry and its
+    n_resonances, in that order unless ``count_first``; each piece is one
+    ``%`` of the lines of its rows."""
+    templates: list[str] = []
+    values: list = []
+    for stretch in stretches:
+        ms, counts = stretch[4:]
+        pairs = zip(counts, ms) if count_first else zip(ms, counts)
+        template = line(stretch)
+        left = len(ms)
+        while left:
+            taken = min(left, _ITEM_CHUNK - len(templates))
+            templates += [template] * taken
+            values += chain.from_iterable(islice(pairs, taken))
+            left -= taken
+            if len(templates) == _ITEM_CHUNK:
+                yield sep.join(templates) % tuple(values)
+                templates, values = [], []
+    if templates:
+        yield sep.join(templates) % tuple(values)
+
+
+def _scan_rows_json(stretches, indent: str) -> Iterator[str]:
+    """The JSON of the rows of ``ScanRows.stretches`` at ``indent``, in
+    pieces of ``_ITEM_CHUNK`` rows."""
+    return _row_pieces(stretches, functools.partial(_scan_json_line, indent), "," + indent, True)
+
+
+def _scan_text(rows: ScanRows) -> Iterator[str]:
+    yield from _row_pieces(rows.stretches, _scan_text_line, "\n", False)
     yield f"rows: {len(rows)}"
 
 
@@ -680,23 +724,14 @@ class _Lines:
         return line
 
 
-def _scan_csv(rows: list[ScanRow]) -> Iterator[str]:
-    writer = csv.writer(_Lines, lineterminator="\n")
-    yield writer.writerow(
+_CSV = csv.writer(_Lines, lineterminator="\n")
+
+
+def _scan_csv(rows: ScanRows) -> Iterator[str]:
+    yield _CSV.writerow(
         ["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"]
     )
-    for row in rows:
-        failure = row.failure
-        yield writer.writerow(
-            [
-                " ".join(str(x) for x in row.weight),
-                _fmt_bool(row.in_class),
-                " ".join(str(x) for x in row.witnesses),
-                row.n_resonances,
-                " ".join("-" if s is None else str(s) for s in row.i_set_sizes),
-                "" if failure is None else f"{failure.reason}@{failure.level}",
-            ]
-        )
+    yield from _row_pieces(rows.stretches, _scan_csv_line, "", False)
 
 
 @cli.command()
@@ -733,12 +768,16 @@ def scan(
         arity, max_weight, in_class_only=in_class_only, resonance_free_only=resonance_free_only
     )
     if row_filter == "disagree":
-        rows = [row for row in rows if row.n_resonances > 0]
+        rows = ScanRows(
+            (*shared, [*compress(ms, counts)], [*filter(None, counts)])
+            for *shared, ms, counts in rows.stretches
+            if any(counts)
+        )
     input_echo = {"n": arity, "max": max_weight, "filter": row_filter}
     if fmt == "csv":
         _write(_scan_csv(rows), out)
     else:
-        result = {"rows": _Templated(rows, _scan_rows_json), "count": len(rows)}
+        result = {"rows": _Templated(rows.stretches, _scan_rows_json), "count": len(rows)}
         _finish("scan", input_echo, result, "apery", fmt, out, started, lambda: _scan_text(rows))
     if row_filter == "disagree" and rows:
         click.echo(

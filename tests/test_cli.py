@@ -1,9 +1,12 @@
+import csv
 import hashlib
+import io
 import json
 import re
 import subprocess
 import sys
 import tracemalloc
+from itertools import groupby
 from pathlib import Path
 
 import pytest
@@ -24,11 +27,14 @@ from qcweights.cli import (
 from qcweights.counting import CountReport
 from qcweights.model import (
     FAILURE_REASONS,
+    NO_WINDOW_EXISTS,
+    OBSTRUCTION_SET_HIT,
     ClassFailure,
     IntRuns,
     Resonances,
     ResonanceWitness,
     ScanRow,
+    ScanRows,
     window_interval,
 )
 
@@ -381,8 +387,14 @@ class TestScanCommand:
 # of 53,415 witnesses, and (3, 4, 6, 11, 30) before the walk listed the last
 # pair from the loop over its predecessor and witnesses became named tuples.
 # The text listing of (2, 3, 5, 7, 252) was recorded before the writer
-# rendered witnesses from per-pair k arrays.
+# rendered witnesses from per-pair k arrays.  The scans of the benchmark,
+# (3, 70) and (4, 28), were recorded before rows were held as per-window
+# stretches.
 _PINNED = {
+    ("scan", "--n", "3", "--max", "70", "--filter", "in-class", "--format", "json"):
+        (0, "acbe199f46581e474051d6fc187324a89ff31d2edac928d834aeb7f5a20272f3"),
+    ("scan", "--n", "4", "--max", "28", "--filter", "in-class", "--format", "json"):
+        (0, "fb6cb94c219f80150bd173db04ea0fc6f879e42f1f390aa9e470b3e787dc6528"),
     ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "text"):
         (0, "25a9477136729f91062f34c6446ac8e9139420752dd7b6dd7989e4c523e5575b"),
     ("scan", "--n", "4", "--max", "14", "--filter", "in-class", "--format", "json"):
@@ -900,9 +912,11 @@ class TestJsonWriter:
 
 _ints = st.integers() | st.integers(min_value=2**63, max_value=2**80)
 _failures = st.none() | st.builds(ClassFailure, st.sampled_from(FAILURE_REASONS), _ints)
+# A row's weight has at least one entry: the rows of a stretch share all of
+# their weight but its last entry.
 _scan_rows = st.builds(
     ScanRow,
-    weight=st.lists(_ints, max_size=6).map(tuple),
+    weight=st.lists(_ints, min_size=1, max_size=6).map(tuple),
     witnesses=st.lists(_ints, max_size=4).map(tuple),
     failure=_failures,
     n_resonances=_ints,
@@ -946,6 +960,20 @@ def _scan_row_dict(row: ScanRow) -> dict:
     }
 
 
+def _stretch_key(row: ScanRow) -> tuple:
+    return row.weight[:-1], row.witnesses, row.failure, row.i_set_sizes
+
+
+def _stretches(rows) -> list[tuple]:
+    # The rows as ScanRows stretches: each run of consecutive rows that
+    # share all but their last entry and their count is one stretch.
+    stretches = []
+    for key, run in groupby(rows, _stretch_key):
+        run = list(run)
+        stretches.append((*key, [row.weight[-1] for row in run], [row.n_resonances for row in run]))
+    return stretches
+
+
 def _streamed(key, items, render) -> str:
     # The array sits where the envelope puts it: result -> key -> items.
     return "".join(_json_chunks({"result": {key: _Templated(items, render)}}))
@@ -960,7 +988,7 @@ class TestRowTemplates:
     @given(st.lists(_scan_rows, max_size=4))
     def test_scan_rows_match_json_dumps(self, rows):
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
-        assert _streamed("rows", rows, _scan_rows_json) == expected
+        assert _streamed("rows", _stretches(rows), _scan_rows_json) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(_witness_arrays())
@@ -976,7 +1004,7 @@ class TestRowTemplates:
             ScanRow((3, 7), (1,), None, 2**70, ()),
         ]
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
-        assert _streamed("rows", rows, _scan_rows_json) == expected
+        assert _streamed("rows", _stretches(rows), _scan_rows_json) == expected
 
     @pytest.mark.parametrize("k_len", range(1, 7))
     def test_every_witness_length(self, k_len):
@@ -1009,7 +1037,111 @@ class TestRowTemplates:
         # Rows drawn from a small pool, so consecutive rows share templates.
         rows = data.draw(st.lists(st.sampled_from(pool), max_size=30))
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
-        assert _streamed("rows", rows, _scan_rows_json) == expected
+        assert _streamed("rows", _stretches(rows), _scan_rows_json) == expected
+
+
+# Per stretch, in turn: its witnesses, failure and window sizes.  One failure
+# reason holds a %, a comma and quotes, which the templates and CSV escape.
+_FAKE_SHARED = [
+    ((2,), None, (12,)),
+    ((3,), ClassFailure(OBSTRUCTION_SET_HIT, 4), (None, 7)),
+    ((3, 5), None, (2, 11)),
+    ((), ClassFailure(NO_WINDOW_EXISTS, 3), (None,)),
+    ((4,), ClassFailure('odd%s,"reason"', 4), (1, None)),
+]
+
+
+def _fake_scan(lengths):
+    # core.scan returning stretches of the given numbers of rows, with
+    # multi-digit entries and counts, a third of them zero.
+    def scan(arity, max_weight, *, in_class_only=False, resonance_free_only=False):
+        stretches = []
+        for n, length in enumerate(lengths):
+            witnesses, failure, sizes = _FAKE_SHARED[n % len(_FAKE_SHARED)]
+            ms = list(range(10_000 * (n + 1), 10_000 * (n + 1) + length))
+            counts = [k % 3 * (1000 + k) for k in range(length)]
+            stretches.append(((10 + n, 200 + n), witnesses, failure, sizes, ms, counts))
+        return ScanRows(stretches)
+
+    return scan
+
+
+def _scan_text_line(row: ScanRow) -> str:
+    parts = [
+        " ".join(map(str, row.weight)),
+        f"in_class={'true' if row.in_class else 'false'}",
+        "witnesses=[" + ", ".join(map(str, row.witnesses)) + "]",
+        f"resonances={row.n_resonances}",
+        "i_sizes=[" + ", ".join("-" if s is None else str(s) for s in row.i_set_sizes) + "]",
+    ]
+    if row.failure is not None:
+        parts.append(f"failure={row.failure.reason}@{row.failure.level}")
+    return "  ".join(parts)
+
+
+def _scan_outputs(echo, rows) -> dict[str, str]:
+    # The JSON, text and CSV outputs of `scan` written row by row: the
+    # envelope by json.dumps, the text one line per row and the CSV one
+    # writerow per row.
+    envelope = {
+        "command": "scan", "input": echo, "backend": "apery",
+        "result": {"rows": [_scan_row_dict(row) for row in rows], "count": len(rows)},
+        "elapsed_ms": 0.0,
+    }
+    lines = [*map(_scan_text_line, rows), f"rows: {len(rows)}"]
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"])
+    for row in rows:
+        failure = row.failure
+        writer.writerow([
+            " ".join(map(str, row.weight)),
+            "true" if row.in_class else "false",
+            " ".join(map(str, row.witnesses)),
+            row.n_resonances,
+            " ".join("-" if s is None else str(s) for s in row.i_set_sizes),
+            "" if failure is None else f"{failure.reason}@{failure.level}",
+        ])
+    return {
+        "json": json.dumps(envelope, sort_keys=True, indent=2) + "\n",
+        "text": "".join(line + "\n" for line in lines),
+        "csv": table.getvalue(),
+    }
+
+
+class TestScanStretches:
+    # Scan rows are written from per-window stretches, one `%` per piece of
+    # at most _ITEM_CHUNK rows; the bytes are those of the rows written one
+    # by one, and the disagree filter keeps the rows with resonances.
+
+    @pytest.mark.parametrize(
+        "lengths",
+        [[1], [63], [64], [65], [128], [129], [1, 63, 64, 65, 128, 129], [129, 0, 2, 64, 1]],
+    )
+    @pytest.mark.parametrize("row_filter", ["in-class", "disagree"])
+    def test_pieces_at_chunk_edges(self, capsys, tmp_path, monkeypatch, lengths, row_filter):
+        assert cli_module._ITEM_CHUNK == 64
+        fake = _fake_scan(lengths)
+        monkeypatch.setattr(cli_module.core, "scan", fake)
+        rows = list(fake(3, 9))
+        if row_filter == "disagree":
+            rows = [row for row in rows if row.n_resonances]
+        echo = {"n": 3, "max": 9, "filter": row_filter}
+        expected_code = 2 if row_filter == "disagree" and rows else 0
+        expected_err = (
+            f"internal mismatch: {len(rows)} in-class weights have resonances\n"
+            if expected_code else ""
+        )
+        for fmt, expected in _scan_outputs(echo, rows).items():
+            target = tmp_path / f"out.{fmt}"
+            argv = ["scan", "--n", "3", "--max", "9", "--filter", row_filter, "--format", fmt]
+            code, out, err = run_cli(argv, capsys)
+            file_code, file_out, file_err = run_cli([*argv, "--out", str(target)], capsys)
+            assert code == file_code == expected_code
+            assert err == file_err == expected_err
+            assert file_out == ""
+            assert strip_elapsed(out) == strip_elapsed(expected)
+            assert strip_elapsed(target.read_bytes().decode()) == strip_elapsed(expected)
 
 
 def _fake_resonances(counts):
