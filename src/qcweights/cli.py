@@ -663,18 +663,18 @@ def _scan_text_line(stretch: tuple) -> str:
     return "  ".join(parts)
 
 
-def _scan_csv_line(stretch: tuple) -> str:
+def _scan_csv_line(writer, stretch: tuple) -> str:
     # The CSV line of a row of the stretch, with slots for its last entry and
     # its n_resonances.  Those two fields and the weight are digits and
     # spaces, which csv never quotes; the writer quotes the others.
     head, witnesses, failure, sizes = stretch[:4]
-    middle = _CSV.writerow([_fmt_bool(failure is None), " ".join(map(str, witnesses))])
-    tail = _CSV.writerow([
+    middle = writer.writerow([_fmt_bool(failure is None), " ".join(map(str, witnesses))])
+    tail = writer.writerow([
         " ".join("-" if s is None else str(s) for s in sizes),
         "" if failure is None else f"{failure.reason}@{failure.level}",
     ])
-    fixed = middle[:-1].replace("%", "%%"), tail.replace("%", "%%")
-    return "".join(f"{e} " for e in head) + "%s,{0},%s,{1}".format(*fixed)
+    middle, tail = middle[:-1].replace("%", "%%"), tail.replace("%", "%%")
+    return "".join(f"{e} " for e in head) + f"%s,{middle},%s,{tail}"
 
 
 def _row_pieces(
@@ -724,14 +724,12 @@ class _Lines:
         return line
 
 
-_CSV = csv.writer(_Lines, lineterminator="\n")
-
-
 def _scan_csv(rows: ScanRows) -> Iterator[str]:
-    yield _CSV.writerow(
+    writer = csv.writer(_Lines, lineterminator="\n")
+    yield writer.writerow(
         ["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"]
     )
-    yield from _row_pieces(rows.stretches, _scan_csv_line, "", False)
+    yield from _row_pieces(rows.stretches, functools.partial(_scan_csv_line, writer), "", False)
 
 
 @cli.command()

@@ -14,7 +14,6 @@ import math
 import operator
 import re
 from collections.abc import Callable, Iterable, Iterator
-from itertools import compress
 
 from qcweights import semigroup
 from qcweights.model import (
@@ -471,8 +470,9 @@ _PASS, _HIT, _NO_WINDOW = 1, 2, 3
 # filter and an obstruction hit otherwise.
 _IN_CLASS_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, 0)))
 _ROW_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, _HIT)))
-# A maximal run of rows of one kind.
-_RUNS = re.compile(rb"\x01+|\x02+|\x03+")
+# A maximal run of rows of one kind; compiled on first use, by re's cache, as
+# only a scan with no filter splits its windows.
+_RUNS = rb"\x01+|\x02+|\x03+"
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -529,11 +529,13 @@ def scan(
     in the prefix's semigroup (``Semigroup.member_mask``, one slice
     assignment per progression) or no window where the prefix sum divides
     m.  The resonance counts of all its rows are read off the coin-change
-    counts at the prefix entries' fixed offsets.  Each window's rows are then
-    one ``itertools.compress`` over its integers and one over its counts, and
+    counts at the prefix entries' fixed offsets.  Under the resonance-free
+    filter the zero counts mark the rows instead, as every member of the
+    semigroup has a resonance.  Each window's rows are then one
+    ``itertools.compress`` over its integers and one over its counts, and
     are kept as stretches that share their witnesses, failure and window
-    sizes: one stretch per window under the in-class filter, and otherwise
-    one per maximal run of one failure.  Window sizes come from
+    sizes: one stretch per window under either filter, and with none one
+    per maximal run of one failure.  Window sizes come from
     ``Semigroup.window_size``, which counts a two-entry window's progression
     terms without listing them, once per window that makes a row.  The rows
     of a stretch are made only as the returned sequence is read.
@@ -601,17 +603,17 @@ def scan(
             first = lo if lo > start else start
             hi = lo + sigma
             selected = kinds[first:hi]
-            ms = [*compress(range(first, hi), selected)]
+            ms = [*itertools.compress(range(first, hi), selected)]
             if not ms:
                 continue
-            cs = [*compress(counts[first - start : hi - start], selected)]
+            cs = [*itertools.compress(counts[first - start : hi - start], selected)]
             if level_2:
                 append((entries, (), failure, sizes, ms, cs))
                 continue
             window = lo // sigma + 1
+            witnesses = head if failure is not None else (*head, window)
             if one_kind:
                 window_sizes = (*sizes, group.window_size(window))
-                witnesses = head if failure is not None else (*head, window)
                 append(
                     (entries, shared(witnesses, witnesses), failure,
                      shared(window_sizes, window_sizes), ms, cs)
@@ -625,13 +627,11 @@ def scan(
                 window_sizes = (*sizes, group.window_size(window))
             rows_of = (
                 None,
-                (head, failure, window_sizes)
-                if failure is not None
-                else ((*head, window), None, window_sizes),
+                (witnesses, failure, window_sizes),
                 (head, hit, window_sizes),
                 (head, no_window if failure is None else failure, (*sizes, None)),
             )
-            for run in _RUNS.finditer(kept):
+            for run in re.finditer(_RUNS, kept):
                 a, b = run.span()
                 append((entries, *rows_of[kept[a]], ms[a:b], cs[a:b]))
 

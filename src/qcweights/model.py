@@ -306,10 +306,11 @@ class ScanRows(Sequence):
 
     def __init__(self, stretches: Iterable[tuple] = ()) -> None:
         stretches = tuple(stretches)
-        if any(len(ms) != len(counts) for *_, ms, counts in stretches):
+        lengths = [*map(len, map(_ms_of, stretches))]
+        if lengths != [*map(len, map(_counts_of, stretches))]:
             raise ValueError("ScanRows holds one count per m")
         object.__setattr__(self, "stretches", stretches)
-        object.__setattr__(self, "_len", sum(len(stretch[4]) for stretch in stretches))
+        object.__setattr__(self, "_len", sum(lengths))
 
     def __setattr__(self, name, value):
         raise AttributeError("ScanRows is immutable")
@@ -365,6 +366,10 @@ class ScanRows(Sequence):
 
     def __repr__(self) -> str:
         return repr(list(self))
+
+
+_ms_of = operator.itemgetter(4)
+_counts_of = operator.itemgetter(5)
 
 
 def _stretch_key(row: ScanRow) -> tuple:
