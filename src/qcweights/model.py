@@ -341,6 +341,11 @@ class ScanRows(Sequence):
             for head, witnesses, failure, sizes, ms, counts in self.stretches
         )
 
+    def __reversed__(self):
+        # An index walks the stretches, thousands in a large scan, so the
+        # rows are made once in order rather than looked up one by one.
+        return reversed(list(self))
+
     def __getitem__(self, index):
         if isinstance(index, slice):
             stretches = []
