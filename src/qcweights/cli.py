@@ -43,7 +43,7 @@ import csv
 import functools
 import json
 import time
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
 
@@ -110,6 +110,15 @@ _ITEM_CHUNK = 64
 _SUFFIX3 = tuple(f"{t:03d}" for t in range(1000))
 
 
+def _int_text(values: IntRuns | Sequence[int], sep: str) -> Iterator[str]:
+    """``sep.join(map(str, values))`` in pieces: an ``IntRuns`` by its runs
+    (see ``_run_text``), any other sequence of integers ``_INT_CHUNK`` at a
+    time."""
+    if type(values) is IntRuns:
+        return _run_text(values.runs, sep)
+    return _first_unled(_loose_pieces([values], sep), sep)
+
+
 def _run_text(runs: tuple[range, ...], sep: str) -> Iterator[str]:
     """``sep.join(map(str, chain(*runs)))`` in pieces; ``runs`` are ranges
     with step 1.
@@ -119,7 +128,11 @@ def _run_text(runs: tuple[range, ...], sep: str) -> Iterator[str]:
     ``_SUFFIX3``.  The integers around the blocks, partial blocks and block
     0, are written ``_INT_CHUNK`` at a time, integer by integer.
     """
-    pieces = _run_pieces(runs, sep)
+    return _first_unled(_run_pieces(runs, sep), sep)
+
+
+def _first_unled(pieces: Iterator[str], sep: str) -> Iterator[str]:
+    # The pieces, each led by sep, with the first one's sep cut off.
     for piece in pieces:
         yield piece[len(sep) :]
         break
@@ -150,9 +163,9 @@ def _run_pieces(runs: tuple[range, ...], sep: str) -> Iterator[str]:
     yield from _loose_pieces(loose, sep)
 
 
-def _loose_pieces(ranges: list[range], sep: str) -> Iterator[str]:
-    # The ranges' integers, each led by sep, _INT_CHUNK per piece.
-    ints = map(int.__repr__, chain.from_iterable(ranges))
+def _loose_pieces(stretches: Iterable[Iterable[int]], sep: str) -> Iterator[str]:
+    # The stretches' integers, each led by sep, _INT_CHUNK per piece.
+    ints = map(int.__repr__, chain.from_iterable(stretches))
     while piece := sep.join(chain(("",), islice(ints, _INT_CHUNK))):
         yield piece
 
@@ -162,19 +175,11 @@ def _fmt_set(values) -> str:
 
 
 def _set_line(label: str, values: IntRuns | tuple[int, ...] | list[int]) -> Iterator[str]:
-    """``f"{label}: {_fmt_set(values)}"`` in chunks of ``_INT_CHUNK`` items,
-    or of runs (see ``_run_text``) for an ``IntRuns``, for the sets that can
-    hold hundreds of thousands of integers."""
-    head = f"{label}: {{"
-    if type(values) is IntRuns:
-        yield head
-        yield from _run_text(values.runs, ", ")
-        yield "}"
-        return
-    for start in range(0, len(values), _INT_CHUNK):
-        yield head + ", ".join(map(str, values[start : start + _INT_CHUNK]))
-        head = ", "
-    yield "}" if values else head + "}"
+    """``f"{label}: {_fmt_set(values)}"`` in pieces (see ``_int_text``), for
+    the sets that can hold hundreds of thousands of integers."""
+    yield f"{label}: {{"
+    yield from _int_text(values, ", ")
+    yield "}"
 
 
 def _fmt_list(values) -> str:
@@ -232,8 +237,8 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
     writes a dict key by key, a ``_Templated`` array in its render's pieces
-    and a flat integer array ``_INT_CHUNK`` items at a time, an ``IntRuns``
-    in runs (see ``_run_text``), and leaves only floats to ``json.dumps``.
+    and an integer array, flat or an ``IntRuns``, in the pieces of
+    ``_int_text``, and leaves only floats to ``json.dumps``.
     """
     inner = indent + "  "
     if isinstance(value, dict):
@@ -253,29 +258,21 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
             yield piece
             head = "," + inner
         yield "[]" if head[0] == "[" else indent + "]"
-    elif isinstance(value, (list, tuple)):
+    elif isinstance(value, (list, tuple, IntRuns)):
         if not value:
             yield "[]"
             return
         sep = "," + inner
         head = "[" + inner
         # type() rather than isinstance: bools render as true and false.
-        if {*map(type, value)} == {int}:
-            for start in range(0, len(value), _INT_CHUNK):
-                yield head + sep.join(map(int.__repr__, value[start : start + _INT_CHUNK]))
-                head = sep
+        if type(value) is IntRuns or {*map(type, value)} == {int}:
+            yield head
+            yield from _int_text(value, sep)
         else:
             for item in value:
                 yield head
                 yield from _json_chunks(item, inner)
                 head = sep
-        yield indent + "]"
-    elif type(value) is IntRuns:
-        if not value:
-            yield "[]"
-            return
-        yield "[" + inner
-        yield from _run_text(value.runs, "," + inner)
         yield indent + "]"
     elif isinstance(value, str):
         yield encode_basestring_ascii(value)

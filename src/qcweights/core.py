@@ -407,6 +407,10 @@ def _sum_solver(
 
         if suffixes[0].contains(t):
             descend(0, t, (), degree_bound if bounded else t)
+        # descend reaches itself through its closure, and through ``extend``
+        # holds ``out``; breaking that cycle lets the list go with its last
+        # reference, not at the next cyclic collection.
+        del descend
         return out
 
     return solve
@@ -493,13 +497,13 @@ def _cached_size(
     group: semigroup.Semigroup, window_sizes: dict[int, int], sigma: int, m: int
 ) -> int | None:
     # The obstruction-set size of the window over the prefix that holds m,
-    # cached by window index below m // sigma; None where sigma divides m.
-    below, rest = divmod(m, sigma)
-    if not rest:
+    # cached by window index; None where sigma divides m.
+    window = window_index(sigma, m)
+    if window is None:
         return None
-    size = window_sizes.get(below)
+    size = window_sizes.get(window)
     if size is None:
-        size = window_sizes[below] = group.window_size(below + 1)
+        size = window_sizes[window] = group.window_size(window)
     return size
 
 

@@ -3,6 +3,15 @@
 Everything here is a small frozen dataclass, named tuple or immutable
 sequence over plain integers, so values hash, compare, and print
 deterministically and can be shared freely between threads.
+
+The long answers, ``IntRuns``, ``Resonances`` and ``ScanRows``, are held as
+a tuple of parts, each a stretch of items, and share one base,
+``_Stretched``, which is the whole sequence contract: ``len``, iteration,
+indexing, slicing, ``reversed``, ``index``, equality with and ``repr`` as
+the plain type (the tuple or list of the items), pickling and immutability.
+Each type adds what a part is, its public name for the parts (``runs``,
+``arrays``, ``stretches``), its plain type and what a slice returns;
+``IntRuns`` also hashes as its tuple.
 """
 
 from __future__ import annotations
@@ -66,63 +75,104 @@ def window_interval(sigma: int, M: int) -> tuple[int, int]:
     return (M - 1) * sigma, M * sigma
 
 
+class _Stretched(Sequence):
+    """An immutable sequence held as a tuple of parts, each a stretch of its
+    items, with its length precomputed.
+
+    This base is the sequence: iteration, index lookup, slicing,
+    ``reversed``, ``index``, equality, ``repr``, pickling and immutability.
+    A subclass says what a part is: ``_valid`` and ``_invalid`` check the
+    parts, ``_size`` counts a part's items, ``_items`` makes them in order
+    and ``_item`` makes the one at an offset.  ``_plain`` is the plain type
+    that the sequence compares equal to and prints as, and ``_slice`` makes
+    what a slice returns from its items in that type.
+    """
+
+    __slots__ = ("_parts", "_len")
+
+    def __init__(self, parts: Iterable = ()) -> None:
+        parts = tuple(parts)
+        if not self._valid(parts):
+            raise ValueError(self._invalid)
+        object.__setattr__(self, "_parts", parts)
+        object.__setattr__(self, "_len", sum(map(self._size, parts)))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), (self._parts,)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self):
+        return chain.from_iterable(map(self._items, self._parts))
+
+    def __reversed__(self):
+        # An index walks the parts, thousands in a large scan, so the items
+        # are made once in order rather than looked up one by one.
+        return reversed(self._plain(self))
+
+    def index(self, value, start=0, stop=None) -> int:
+        # One pass, for the same reason as __reversed__.
+        return self._plain(self).index(value, *slice(start, stop).indices(self._len)[:2])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._slice(self._plain(self)[index])
+        index = operator.index(index)
+        if index < 0:
+            index += self._len
+        if 0 <= index:
+            for part in self._parts:
+                size = self._size(part)
+                if index < size:
+                    return self._item(part, index)
+                index -= size
+        raise IndexError(f"{type(self).__name__} index out of range")
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (type(self), self._plain)):
+            return len(self) == len(other) and self._plain(self) == self._plain(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._plain(self))
+
+
 _step_of = operator.attrgetter("step")
 
 
-class IntRuns(Sequence):
+class IntRuns(_Stretched):
     """An immutable sequence of integers held as runs of consecutive ones.
 
     ``runs`` is a tuple of ranges with step 1; the sequence is their
     integers in order.  A gap set of hundreds of thousands of integers is a
     handful of runs, so it costs a few ranges rather than a tuple of every
     integer, and a writer can render it run by run.  It compares equal to,
-    hashes as and prints as the tuple of its integers.
+    hashes as and prints as the tuple of its integers, and a slice of it is
+    that tuple's slice.
     """
 
-    __slots__ = ("runs", "_len")
+    __slots__ = ()
 
-    def __init__(self, runs: Iterable[range] = ()) -> None:
-        runs = tuple(runs)
-        if not {*map(_step_of, runs)} <= {1}:
-            raise ValueError("IntRuns holds ranges with step 1")
-        object.__setattr__(self, "runs", runs)
-        object.__setattr__(self, "_len", sum(map(len, runs)))
+    # The parts' slot under its public name.
+    runs = _Stretched._parts
+    _plain = _slice = tuple
+    _invalid = "IntRuns holds ranges with step 1"
+    _size = staticmethod(len)
+    _items = staticmethod(iter)
+    _item = staticmethod(range.__getitem__)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IntRuns is immutable")
-
-    def __reduce__(self):
-        return IntRuns, (self.runs,)
-
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
-        return chain.from_iterable(self.runs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return tuple(self)[index]
-        index = operator.index(index)
-        if index < 0:
-            index += self._len
-        if 0 <= index:
-            for run in self.runs:
-                if index < len(run):
-                    return run[index]
-                index -= len(run)
-        raise IndexError("IntRuns index out of range")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (IntRuns, tuple)):
-            return len(self) == len(other) and tuple(self) == tuple(other)
-        return NotImplemented
+    @staticmethod
+    def _valid(runs: tuple[range, ...]) -> bool:
+        return {*map(_step_of, runs)} <= {1}
 
     def __hash__(self) -> int:
         return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -203,7 +253,7 @@ class ResonanceWitness(NamedTuple):
         return (self.i, self.j, self.k)
 
 
-class Resonances(Sequence):
+class Resonances(_Stretched):
     """An immutable sequence of ``ResonanceWitness`` held as flat k arrays.
 
     ``arrays`` is a tuple of stretches ``(i, j, flat)``, each a run of
@@ -212,60 +262,45 @@ class Resonances(Sequence):
     stretches in turn.  A listing of tens of thousands of witnesses then
     holds one reference per k entry and no tuple per witness, and a writer
     can render it stretch by stretch.  Witnesses are made as they are read.
-    It compares equal to and prints as the list of its witnesses.
+    It compares equal to and prints as the list of its witnesses, and a
+    slice of it is a ``Resonances`` with one stretch per run of one pair.
     """
 
-    __slots__ = ("arrays", "_len")
+    __slots__ = ()
 
-    def __init__(self, arrays: Iterable[tuple[int, int, list[int]]] = ()) -> None:
-        arrays = tuple(arrays)
-        if any(len(flat) % (j - 1) for _, j, flat in arrays):
-            raise ValueError("Resonances holds j - 1 k entries per witness")
-        object.__setattr__(self, "arrays", arrays)
-        object.__setattr__(self, "_len", sum(len(flat) // (j - 1) for _, j, flat in arrays))
+    arrays = _Stretched._parts
+    _plain = list
+    _invalid = "Resonances holds j - 1 k entries per witness"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Resonances is immutable")
+    @staticmethod
+    def _valid(arrays: tuple[tuple[int, int, list[int]], ...]) -> bool:
+        return not any(len(flat) % (j - 1) for _, j, flat in arrays)
 
-    def __reduce__(self):
-        return Resonances, (self.arrays,)
+    @staticmethod
+    def _size(stretch: tuple[int, int, list[int]]) -> int:
+        _, j, flat = stretch
+        return len(flat) // (j - 1)
 
-    def __len__(self) -> int:
-        return self._len
+    @staticmethod
+    def _items(stretch: tuple[int, int, list[int]]):
+        # One zip cuts the k entries into each witness's k, and map makes
+        # the witness by tuple.__new__, with no Python-level call.
+        i, j, flat = stretch
+        ks = zip(*[iter(flat)] * (j - 1))
+        return map(tuple.__new__, repeat(ResonanceWitness), zip(repeat(i), repeat(j), ks))
 
-    def __iter__(self):
-        # One zip cuts a stretch's k entries into each witness's k, and map
-        # makes the witness by tuple.__new__, with no Python-level call.
-        new = tuple.__new__
-        return chain.from_iterable(
-            map(new, repeat(ResonanceWitness), zip(repeat(i), repeat(j), zip(*[iter(k)] * (j - 1))))
-            for i, j, k in self.arrays
+    @staticmethod
+    def _item(stretch: tuple[int, int, list[int]], offset: int) -> ResonanceWitness:
+        i, j, flat = stretch
+        start = offset * (j - 1)
+        return ResonanceWitness(i, j, tuple(flat[start : start + j - 1]))
+
+    @staticmethod
+    def _slice(witnesses: list[ResonanceWitness]) -> Resonances:
+        return Resonances(
+            (i, j, [*chain.from_iterable(map(operator.itemgetter(2), run))])
+            for (i, j), run in groupby(witnesses, operator.itemgetter(0, 1))
         )
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Resonances(
-                (i, j, [*chain.from_iterable(map(operator.itemgetter(2), run))])
-                for (i, j), run in groupby(list(self)[index], operator.itemgetter(0, 1))
-            )
-        index = operator.index(index)
-        if index < 0:
-            index += self._len
-        if 0 <= index:
-            for i, j, flat in self.arrays:
-                start = index * (j - 1)
-                if start < len(flat):
-                    return ResonanceWitness(i, j, tuple(flat[start : start + j - 1]))
-                index -= len(flat) // (j - 1)
-        raise IndexError("Resonances index out of range")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Resonances, list)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
 
 
 class ScanRow(NamedTuple):
@@ -288,7 +323,7 @@ class ScanRow(NamedTuple):
         return self.failure is None
 
 
-class ScanRows(Sequence):
+class ScanRows(_Stretched):
     """An immutable sequence of ``ScanRow`` held as per-window stretches.
 
     ``stretches`` is a tuple of ``(head, witnesses, failure, sizes, ms,
@@ -299,78 +334,49 @@ class ScanRows(Sequence):
     the stretches in turn.  A scan of tens of thousands of rows then holds
     two list entries per row and no tuple per row, and a writer can render
     it stretch by stretch.  Rows are made as they are read.  It compares
-    equal to and prints as the list of its rows.
+    equal to and prints as the list of its rows, and a slice of it is a
+    ``ScanRows`` with one stretch per run of rows that share all but their
+    last entry and their count.
     """
 
-    __slots__ = ("stretches", "_len")
+    __slots__ = ()
 
-    def __init__(self, stretches: Iterable[tuple] = ()) -> None:
-        stretches = tuple(stretches)
-        lengths = [*map(len, map(_ms_of, stretches))]
-        if lengths != [*map(len, map(_counts_of, stretches))]:
-            raise ValueError("ScanRows holds one count per m")
-        object.__setattr__(self, "stretches", stretches)
-        object.__setattr__(self, "_len", sum(lengths))
+    stretches = _Stretched._parts
+    _plain = list
+    _invalid = "ScanRows holds one count per m"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ScanRows is immutable")
+    @staticmethod
+    def _valid(stretches: tuple[tuple, ...]) -> bool:
+        return [*map(len, map(_ms_of, stretches))] == [*map(len, map(_counts_of, stretches))]
 
-    def __reduce__(self):
-        return ScanRows, (self.stretches,)
+    @staticmethod
+    def _size(stretch: tuple) -> int:
+        return len(stretch[4])
 
-    def __len__(self) -> int:
-        return self._len
-
-    def __iter__(self):
+    @staticmethod
+    def _items(stretch: tuple):
         # zip(ms) wraps each m in a 1-tuple, which head.__add__ turns into
         # the weight; map makes the row by tuple.__new__, with no
         # Python-level call.
-        new = tuple.__new__
-        return chain.from_iterable(
-            map(
-                new,
-                repeat(ScanRow),
-                zip(
-                    map(head.__add__, zip(ms)),
-                    repeat(witnesses),
-                    repeat(failure),
-                    counts,
-                    repeat(sizes),
-                ),
-            )
-            for head, witnesses, failure, sizes, ms, counts in self.stretches
+        head, witnesses, failure, sizes, ms, counts = stretch
+        fields = zip(
+            map(head.__add__, zip(ms)), repeat(witnesses), repeat(failure), counts, repeat(sizes)
         )
+        return map(tuple.__new__, repeat(ScanRow), fields)
 
-    def __reversed__(self):
-        # An index walks the stretches, thousands in a large scan, so the
-        # rows are made once in order rather than looked up one by one.
-        return reversed(list(self))
+    @staticmethod
+    def _item(stretch: tuple, offset: int) -> ScanRow:
+        head, witnesses, failure, sizes, ms, counts = stretch
+        return ScanRow((*head, ms[offset]), witnesses, failure, counts[offset], sizes)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            stretches = []
-            for key, run in groupby(list(self)[index], _stretch_key):
-                run = list(run)
-                ms = [row.weight[-1] for row in run]
-                stretches.append((*key, ms, [row.n_resonances for row in run]))
-            return ScanRows(stretches)
-        index = operator.index(index)
-        if index < 0:
-            index += self._len
-        if 0 <= index:
-            for head, witnesses, failure, sizes, ms, counts in self.stretches:
-                if index < len(ms):
-                    return ScanRow((*head, ms[index]), witnesses, failure, counts[index], sizes)
-                index -= len(ms)
-        raise IndexError("ScanRows index out of range")
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (ScanRows, list)):
-            return len(self) == len(other) and list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(list(self))
+    @staticmethod
+    def _slice(rows: list[ScanRow]) -> ScanRows:
+        stretches = []
+        for key, run in groupby(rows, _stretch_key):
+            run = list(run)
+            ms = [row.weight[-1] for row in run]
+            stretches.append((*key, ms, [row.n_resonances for row in run]))
+        return ScanRows(stretches)
 
 
 _ms_of = operator.itemgetter(4)

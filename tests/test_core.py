@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import math
 import pickle
 import tracemalloc
@@ -590,6 +591,27 @@ class TestResonances:
         arrays = listed.arrays if listing == "resonances" else listed
         assert sum(len(flat) // (j - 1) for _, j, flat in arrays) == 53_415
         assert peak < 2.5 * 2**20
+
+    @pytest.mark.parametrize("bound", [None, 30])
+    def test_dropped_listing_is_freed_without_the_collector(self, bound):
+        # The solver's recursive walk leaves no reference cycle, so the
+        # arrays go with the listing's last reference: with the cycle,
+        # 216,276 of the 216,420 traced bytes stayed allocated after del.
+        core.resonances((2, 3, 5, 7, 120), bound)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            listed = core.resonances((2, 3, 5, 7, 120), bound)
+            alive, _ = tracemalloc.get_traced_memory()
+            del listed
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            unreachable = gc.collect()
+            gc.enable()
+        assert left < alive / 8
+        assert unreachable == 0
 
     def test_searched_and_tabled_suffixes_match_oracle(self, monkeypatch):
         # A suffix is searched until its searches have taken as many steps as
