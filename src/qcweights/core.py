@@ -194,6 +194,10 @@ def _brute_window_elements(prefix: tuple[int, ...], lo: int, hi: int) -> list[in
             kq += 1
 
     descend(0, 0, False)
+    # descend reaches itself through its closure, which holds ``found``;
+    # breaking that cycle frees the set on return, not at the next cyclic
+    # collection.
+    del descend
     return sorted(found)
 
 
@@ -540,8 +544,9 @@ def scan(
     are kept as stretches that share their witnesses, failure and window
     sizes: one stretch per window under either filter, and with none one
     per maximal run of one failure.  Window sizes come from
-    ``Semigroup.window_size``, which counts a two-entry window's progression
-    terms without listing them, once per window that makes a row.  The rows
+    ``Semigroup.window_size``, which counts any window's progression terms
+    per residue class without listing them, once per window that makes a
+    row.  The rows
     of a stretch are made only as the returned sequence is read.
     """
     n, max_weight = operator.index(n), operator.index(max_weight)

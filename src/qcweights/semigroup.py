@@ -8,11 +8,16 @@ A class holds exactly its least value and every larger integer of the class,
 one arithmetic progression of step m_1.  An obstruction set is the
 semigroup's nonzero elements minus its minimal generators, so the window
 pass reads each class's progression tail inside the window, in
-O(m_1 + output) time and memory for any window index.
+O(m_1 + output) time and memory for any window index, and a window's size
+is counted per class without listing it.
 
 :class:`Semigroup` answers membership and windows for one generator
-tuple: by divisibility for one generator, in closed form for two, and from
-the table, or a budgeted search before it, for three or more.
+tuple.  Membership is a divisibility test for one generator, a closed form
+for two, and the table, or a budgeted search before it, for three or more.
+Its window pass is one for every generator count: the classes of one or two
+generators start at the multiples of the largest, and any other count's
+are read off the table.  :func:`obstruction_set_fast` runs that pass over a
+given table.
 
 The sieve, a forward dynamic program over 0..bound, is kept only as the
 independent oracle the tests compare the Apery engine against; the
@@ -158,11 +163,12 @@ class Semigroup:
     obstruction set of window M over the generators, ``window_size(M)`` its
     size and ``member_mask(stop)`` the membership of 0, ..., stop - 1 as a
     ``bytearray``; all three read the semigroup as the arithmetic
-    progressions of ``_progressions``.  ``table`` is the Apery table and
+    progressions of ``_progressions``, with one body for every generator
+    count.  ``table`` is the Apery table and
     ``suffix`` the semigroup of gens[1:]; both are made on first use.
     ``contains`` is chosen when the value is made, so each test is one call:
 
-    - one generator g: divisibility by g;
+    - one generator g: divisibility by g, ``d`` being g;
     - two, a < b: with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for
       k_a in one residue class modulo ``period`` = b/d, the least of which
       is (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.
@@ -193,6 +199,7 @@ class Semigroup:
         self._suffix: Semigroup | None = None
         if len(gens) == 1:
             (g,) = gens
+            self.d = g
             self.contains = lambda t: t >= 0 and t % g == 0
         elif len(gens) == 2:
             a, b = gens
@@ -227,14 +234,11 @@ class Semigroup:
                 else:
                     self._table = extend_apery(self._parent.table, gens[-1])
             else:
-                # Adding multiples of a keeps the class, so the least element
-                # of a class is its least multiple of b; the a/gcd(a, b)
-                # multiples below (a/gcd(a, b))*b fall in distinct classes,
-                # the multiples of the gcd, and the others stay unreachable.
-                # One generator is the case b = a.
-                a, b = gens[0], gens[-1]
+                # Each class start, all below a*b, is the least element of its
+                # class.
+                a = gens[0]
                 least: list[int | None] = [None] * a
-                for value in range(0, a // math.gcd(a, b) * b, b):
+                for value in self._progressions(a * gens[-1])[1]:
                     least[value % a] = value
                 self._table = AperyTable(generators=gens, modulus=a, least=tuple(least))
         return self._table
@@ -268,41 +272,60 @@ class Semigroup:
     def window(self, M: int) -> ObstructionSet:
         """The obstruction set of window M over the generators.
 
-        Two generators a < b walk only the multiples k*b, k < a/gcd(a, b),
-        below the window top, in O(min(a, M) + output) time and memory; their
-        minimal generators are a, and b unless a divides b.  Any other count
-        reads the table with :func:`obstruction_set_fast`.
+        The pass extends one list with each progression's tail inside the
+        window, sorts it once and, in window 1, drops the minimal
+        generators: O(m_1 + output) time and memory, m_1 being the smallest
+        generator, or O(min(m_1, M) + output) for one or two generators,
+        whose progressions start at the multiples of the largest.
         """
         M = _check_window(M)
-        if len(self.gens) != 2:
-            return obstruction_set_fast(self.gens, M, self.table)
-        a, b = self.gens
-        lo, hi = window_interval(a + b, M)
-        minimal = {a} if b % a == 0 else {a, b}
-        return _window(self.gens, M, lo, hi, *self._progressions(hi), minimal)
+        lo, hi = window_interval(sum(self.gens), M)
+        step, starts = self._progressions(hi)
+        first_in = lo + 1
+        elements: list[int] = []
+        for start in starts:
+            first = start if start >= first_in else first_in + (start - first_in) % step
+            elements.extend(range(first, hi, step))
+        elements.sort()
+        if M == 1:
+            minimal = self._minimal()
+            elements = [t for t in elements if t not in minimal]
+        return ObstructionSet(
+            prefix=self.gens, window=M, interval=(lo, hi), elements=tuple(elements)
+        )
 
     def window_size(self, M: int) -> int:
-        """``len(self.window(M).elements)``.
+        """``len(self.window(M).elements)``, counted without listing it.
 
-        Two generators a < b count each class's terms in the window, from
-        its first term ``first`` there, as (hi - 1 - first) // a + 1, and
-        subtract the minimal generators from window 1: O(min(a, M)) steps of
-        arithmetic and no element list.  Any other count returns the size of
-        ``window(M)``.
+        Each progression has (hi - 1 - first) // step + 1 terms in the
+        window, from its first term ``first`` there, and window 1 loses the
+        minimal generators below its top: the pass of :meth:`window` with
+        no element list.
         """
         M = _check_window(M)
-        if len(self.gens) != 2:
-            return self.window(M).size
-        a, b = self.gens
-        lo, hi = window_interval(a + b, M)
+        lo, hi = window_interval(sum(self.gens), M)
+        step, starts = self._progressions(hi)
         first_in = lo + 1
         size = 0
-        for start in self._progressions(hi)[1]:
-            first = start if start >= first_in else first_in + (start - first_in) % a
-            size += (hi - 1 - first) // a + 1
+        for start in starts:
+            first = start if start >= first_in else first_in + (start - first_in) % step
+            size += (hi - 1 - first) // step + 1
         if M == 1:
-            size -= 1 if b % a == 0 else 2
+            # A lone generator is window 1's top, not inside it.
+            minimal = self._minimal()
+            size -= len(minimal) - (hi in minimal)
         return size
+
+    def _minimal(self) -> tuple[int, ...]:
+        # The generators that are not a sum of two nonzero elements: g is
+        # minimal unless g - h is an element for a smaller generator h.  For
+        # a pair a < b that is b - a in <a, b>, so a dividing b.
+        gens = self.gens
+        if len(gens) == 2:
+            a, b = gens
+            return gens if b % a else (a,)
+        contains = self.contains
+        return tuple(g for g in gens if not any(contains(g - h) for h in gens if h < g))
 
     def member_mask(self, stop: int) -> bytearray:
         """A ``bytearray`` over 0, ..., stop - 1 that is 1 at the
@@ -327,42 +350,21 @@ class Semigroup:
         """The step and the starts below ``hi`` of the arithmetic
         progressions whose union is the semigroup.
 
-        Two generators a < b need no table: their classes modulo a start at
-        the multiples k*b, k < a/gcd(a, b), the step being a.  Any other count
-        reads its classes' least values off the table, the step being m_1.
+        Three or more generators read their classes' least values off the
+        table, the step being m_1.  One or two, a <= b, need no table:
+        adding multiples of a keeps the class, so the least element of a
+        class is its least multiple of b.  The a/d multiples k*b below
+        (a/d)*b, d = gcd(a, b), fall in distinct classes, the multiples of
+        d, and the other classes are unreachable; the step is a.
         """
-        if len(self.gens) == 2:
-            a, b = self.gens
-            return a, range(0, min(a // self.d * b, hi), b)
-        table = self.table
-        return table.modulus, _table_starts(table, hi)
-
-
-def _window(
-    prefix: tuple[int, ...],
-    M: int,
-    lo: int,
-    hi: int,
-    step: int,
-    starts,
-    minimal: set[int],
-) -> ObstructionSet:
-    """The window (lo, hi) of a semigroup whose elements are the
-    progressions start, start + step, ... of ``starts`` (each below hi),
-    less the ``minimal`` generators in window 1.
-
-    The pass extends one list with each progression's tail inside the
-    window and sorts it once.
-    """
-    first_in = lo + 1
-    elements: list[int] = []
-    for start in starts:
-        first = start if start >= first_in else first_in + (start - first_in) % step
-        elements.extend(range(first, hi, step))
-    elements.sort()
-    if M == 1:
-        elements = [t for t in elements if t not in minimal]
-    return ObstructionSet(prefix=prefix, window=M, interval=(lo, hi), elements=tuple(elements))
+        gens = self.gens
+        if len(gens) > 2:
+            table = self.table
+            return table.modulus, [t for t in table.least if t is not None and t < hi]
+        a, b = gens[0], gens[-1]
+        top = a // self.d * b
+        # A conditional, not min(): every pair window and mask asks this.
+        return a, range(0, top if top < hi else hi, b)
 
 
 def is_representable(table: AperyTable, t: int) -> bool:
@@ -383,12 +385,6 @@ def is_representable_nonzero(table: AperyTable, t: int) -> bool:
     return t > 0 and is_representable(table, t)
 
 
-def _minimal_generators(table: AperyTable) -> set[int]:
-    """The generators that are not a sum of two nonzero elements."""
-    gens = table.generators
-    return {g for g in gens if not any(is_representable(table, g - h) for h in gens if h < g)}
-
-
 def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
     """Blocked integers of window M over ``prefix`` via its Apery table.
 
@@ -398,23 +394,15 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
     generators (Rosales & Garcia-Sanchez, "Numerical Semigroups", 2009,
     ch. 1).  With S the prefix sum, no prefix entry lies past window 1, since
     (M-1)*S >= S for M >= 2, so only window 1 has minimal generators to drop.
-    The semigroup's elements in class r modulo m_1 are least[r], least[r] +
-    m_1, ..., so the pass extends the result with each reachable class's
-    progression from its first value inside the window and sorts it once.
-    The table must be built from the prefix entries; any window takes
-    O(m_1 + output) time and memory.
+    This is :meth:`Semigroup.window` of the prefix with ``table`` as its
+    table, which must be built from the prefix entries.  One or two entries
+    read their classes in closed form, which equal any such table's.
     """
     pref = tuple(operator.index(p) for p in prefix)
     if table.generators != pref:
         raise ValueError(
             f"table generators {table.generators} do not match prefix {pref}"
         )
-    M = _check_window(M)
-    lo, hi = window_interval(sum(pref), M)
-    minimal = _minimal_generators(table) if M == 1 else set()
-    return _window(pref, M, lo, hi, table.modulus, _table_starts(table, hi), minimal)
-
-
-def _table_starts(table: AperyTable, hi: int) -> list[int]:
-    # The least value of each reachable class that lies below hi.
-    return [least for least in table.least if least is not None and least < hi]
+    group = Semigroup(pref)
+    group._table = table
+    return group.window(M)

@@ -298,6 +298,26 @@ class TestObstructionSet:
             core.obstruction_set((3, 7), 3000, "brute")
         assert core.obstruction_set((3, 7), 3000).size == 9
 
+    def test_brute_window_is_freed_without_the_collector(self):
+        # The nested loops' recursive walk leaves no reference cycle, so
+        # the set it fills goes on return: with the cycle, 47,132 of the
+        # 50,560 traced bytes stayed allocated after del.
+        core.obstruction_set((200, 201), 200, "brute")
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            listed = core.obstruction_set((200, 201), 200, "brute")
+            alive, _ = tracemalloc.get_traced_memory()
+            del listed
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            unreachable = gc.collect()
+            gc.enable()
+        assert left < alive / 8
+        assert unreachable == 0
+
     def test_errors(self):
         with pytest.raises(WeightError, match="M must be >= 1"):
             core.obstruction_set((3, 5), 0)

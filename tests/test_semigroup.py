@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -383,8 +384,11 @@ class TestSemigroup:
 
 
 class TestWindowSize:
-    """``Semigroup.window_size(M)`` is ``len(window(M).elements)``; a pair
-    counts it without listing the window or building a table."""
+    """``Semigroup.window_size(M)`` is ``len(window(M).elements)``, counted
+    per residue class for every generator count without listing the
+    window.  It shares its pass with ``window``, so it is checked against
+    the sieve and the nested-loop oracle, not against ``window``; a pair
+    builds no table."""
 
     @settings(deadline=None, max_examples=80)
     @given(pairs, st.integers(1, 4))
@@ -414,12 +418,27 @@ class TestWindowSize:
     @given(generator_tuples, st.integers(1, 4))
     @example((4,), 1)
     @example((3, 6, 9), 1)
+    @example((4, 6, 8), 1)
     @example((6, 10, 15), 2)
     def test_any_generator_count_matches_window(self, gens, window):
-        assert semigroup.Semigroup(gens).window_size(window) == len(
-            semigroup.Semigroup(gens).window(window).elements
-        )
-        assert derived(gens).window_size(window) == derived(gens).window(window).size
+        # In (3, 6, 9) and (4, 6, 8) some generators are not minimal, so
+        # window 1 keeps them.
+        expected = sieve_window(gens, window).size
+        assert semigroup.Semigroup(gens).window_size(window) == expected
+        assert derived(gens).window_size(window) == expected
+
+    @settings(deadline=None, max_examples=60)
+    @given(generator_tuples)
+    @example((4,))
+    @example((3, 6, 9))
+    @example((4, 6, 8))
+    def test_any_generator_count_past_the_conductor(self, gens):
+        # Far past the conductor a window holds exactly the multiples of the
+        # generators' gcd d, and the window's ends, multiples of the
+        # generator sum, are multiples of d too.
+        expected = sum(gens) // math.gcd(*gens) - 1
+        assert semigroup.Semigroup(gens).window_size(10**30) == expected
+        assert derived(gens).window_size(10**30) == expected
 
     @pytest.mark.parametrize(
         "pair, window",
@@ -437,10 +456,16 @@ class TestWindowSize:
             semigroup.Semigroup((3, 5)).window_size(0)
 
     def test_length_3_scan_lists_no_window(self, monkeypatch):
-        # Every window a length-3 scan sizes is over a pair, so it is counted
-        # and never goes through the table pass.
+        # Every window a scan sizes is counted per class, so none is listed,
+        # through ``Semigroup.window`` or the table wrapper over it.
         calls = Counter()
+        window = semigroup.Semigroup.window
         fast = semigroup.obstruction_set_fast
+        monkeypatch.setattr(
+            semigroup.Semigroup,
+            "window",
+            lambda *args: calls.update(["window"]) or window(*args),
+        )
         monkeypatch.setattr(
             semigroup,
             "obstruction_set_fast",
@@ -449,7 +474,7 @@ class TestWindowSize:
         assert core.scan(3, 30)
         assert calls == Counter()
         core.scan(4, 12)
-        assert calls == Counter(obstruction_set_fast=181)
+        assert calls == Counter()
 
 
 class TestRepresentability:
