@@ -8,19 +8,24 @@ written by an indent-2 writer here, byte-identical to
 lives only at the top of the JSON envelope, never inside result payloads, so
 payloads are byte-stable across runs.
 
-Output is streamed: every format is an iterable of chunks written to the
-``--out`` file or to stdout as it is made, so no whole document is held.
-The envelope and its result are written key by key.
+Output is streamed: every format is an iterable of ASCII ``bytes`` chunks,
+written as it is made through one binary sink, the ``--out`` file or
+stdout's binary stream, so no whole document is held and no text layer
+encodes it again.  Lines end in ``\n`` on every platform, also where
+text-mode stdout would write ``\r\n``.  The envelope and its result are
+written key by key.
 
 Long answers are written in runs and batches, not one item at a time:
 
 - A gap set is an ``IntRuns``, a few runs of consecutive integers.  Each
   aligned block of 1,000 integers in a run, from 1,000 up, is written as
-  its shared leading digits joined with the 1,000 three-digit suffixes;
-  partial blocks and block 0 are written integer by integer.  JSON arrays
+  its shared leading digits joined with the 1,000 three-digit suffixes, a
+  ``str`` join encoded once, which is faster than a ``bytes`` join there.
+  Partial blocks and block 0 are written ``_INT_CHUNK`` integers at a
+  time, each piece one ``%`` of a template of ``%d`` slots.  JSON arrays
   and text sets do the same, with their own separators.
 - Resonance witnesses are rendered through a ``%``-template per pair
-  (i, j), made once from ``_render_json`` with i and j in it and cached.
+  (i, j), made once from ``_json_chunks`` with i and j in it and cached.
   Each stretch of at most ``_ITEM_CHUNK`` witnesses of one pair is one
   ``%`` of it repeated over their k, sliced from the per-pair k arrays
   that ``core.resonances`` holds, with no tuple per witness.
@@ -31,6 +36,11 @@ Long answers are written in runs and batches, not one item at a time:
   other slot filled; text and CSV lines are made the same way.  Each piece
   of at most ``_ITEM_CHUNK`` rows is then one ``%`` of its rows' lines over
   their last entries and counts, with no tuple per row.
+
+The templates are ``bytes`` with ``%d`` integer slots: CPython's
+``bytes % args`` finds each next ``%`` with ``memchr``, where ``str % args``
+steps through the format one character at a time, and most of each row or
+witness template is fixed text.
 
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
@@ -106,22 +116,24 @@ _INT_CHUNK = 4096
 # after nine; at 64, by nothing.
 _ITEM_CHUNK = 64
 
-# The last three digits of the integers of an aligned block of 1,000.
+# The last three digits of the integers of an aligned block of 1,000, as
+# ``str``: one ``str.join`` over them and one ``encode`` of the block is
+# faster than ``bytes.join`` over their bytes.
 _SUFFIX3 = tuple(f"{t:03d}" for t in range(1000))
 
 
-def _int_text(values: IntRuns | Sequence[int], sep: str) -> Iterator[str]:
-    """``sep.join(map(str, values))`` in pieces: an ``IntRuns`` by its runs
-    (see ``_run_text``), any other sequence of integers ``_INT_CHUNK`` at a
-    time."""
+def _int_text(values: IntRuns | Sequence[int], sep: bytes) -> Iterator[bytes]:
+    """``sep.join(b"%d" % v for v in values)`` in pieces: an ``IntRuns`` by
+    its runs (see ``_run_text``), any other sequence of integers
+    ``_INT_CHUNK`` at a time."""
     if type(values) is IntRuns:
         return _run_text(values.runs, sep)
     return _first_unled(_loose_pieces([values], sep), sep)
 
 
-def _run_text(runs: tuple[range, ...], sep: str) -> Iterator[str]:
-    """``sep.join(map(str, chain(*runs)))`` in pieces; ``runs`` are ranges
-    with step 1.
+def _run_text(runs: tuple[range, ...], sep: bytes) -> Iterator[bytes]:
+    """``sep.join(b"%d" % t for t in chain(*runs))`` in pieces; ``runs`` are
+    ranges with step 1.
 
     The integers t*1000 .. t*1000 + 999 with t >= 1 all start with the digits
     of t, so such an aligned block inside a run is one join over
@@ -131,7 +143,7 @@ def _run_text(runs: tuple[range, ...], sep: str) -> Iterator[str]:
     return _first_unled(_run_pieces(runs, sep), sep)
 
 
-def _first_unled(pieces: Iterator[str], sep: str) -> Iterator[str]:
+def _first_unled(pieces: Iterator[bytes], sep: bytes) -> Iterator[bytes]:
     # The pieces, each led by sep, with the first one's sep cut off.
     for piece in pieces:
         yield piece[len(sep) :]
@@ -139,10 +151,11 @@ def _first_unled(pieces: Iterator[str], sep: str) -> Iterator[str]:
     yield from pieces
 
 
-def _run_pieces(runs: tuple[range, ...], sep: str) -> Iterator[str]:
+def _run_pieces(runs: tuple[range, ...], sep: bytes) -> Iterator[bytes]:
     # The text of _run_text, led by one more sep.  Only runs of at least
     # 1,000 integers can hold a block; the runs between them are flattened
     # together.
+    text_sep = sep.decode()
     loose: list[range] = []
     start = 0
     for at in compress(range(len(runs)), map((1000).__le__, map(len, runs))):
@@ -155,31 +168,34 @@ def _run_pieces(runs: tuple[range, ...], sep: str) -> Iterator[str]:
         loose.append(range(t, first * 1000))
         yield from _loose_pieces(loose, sep)
         for p in map(str, range(first, last)):
-            yield sep + p
-            yield (sep + p).join(_SUFFIX3)
+            lead = text_sep + p
+            yield lead.encode()
+            yield lead.join(_SUFFIX3).encode()
         loose = [range(last * 1000, stop)]
         start = at + 1
     loose += runs[start:]
     yield from _loose_pieces(loose, sep)
 
 
-def _loose_pieces(stretches: Iterable[Iterable[int]], sep: str) -> Iterator[str]:
-    # The stretches' integers, each led by sep, _INT_CHUNK per piece.
-    ints = map(int.__repr__, chain.from_iterable(stretches))
-    while piece := sep.join(chain(("",), islice(ints, _INT_CHUNK))):
-        yield piece
+def _loose_pieces(stretches: Iterable[Iterable[int]], sep: bytes) -> Iterator[bytes]:
+    # The stretches' integers, each led by sep, _INT_CHUNK per piece: one
+    # ``%`` of a template of as many sep-led ``%d`` as the piece has integers.
+    ints = chain.from_iterable(stretches)
+    item = sep + b"%d"
+    while batch := tuple(islice(ints, _INT_CHUNK)):
+        yield item * len(batch) % batch
 
 
 def _fmt_set(values) -> str:
     return "{" + ", ".join(str(v) for v in values) + "}"
 
 
-def _set_line(label: str, values: IntRuns | tuple[int, ...] | list[int]) -> Iterator[str]:
+def _set_line(label: str, values: IntRuns | tuple[int, ...] | list[int]) -> Iterator[bytes]:
     """``f"{label}: {_fmt_set(values)}"`` in pieces (see ``_int_text``), for
     the sets that can hold hundreds of thousands of integers."""
-    yield f"{label}: {{"
-    yield from _int_text(values, ", ")
-    yield "}"
+    yield f"{label}: {{".encode()
+    yield from _int_text(values, b", ")
+    yield b"}"
 
 
 def _fmt_list(values) -> str:
@@ -190,80 +206,103 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _write(chunks: Iterable[str], out: str | None) -> None:
-    """Write the chunks, in order, to the ``--out`` file or to stdout."""
+# The ``--out`` file's buffer.  With the default 8 KiB, the 6 MB JSON listing
+# of ``resonances 2 3 5 7 253`` took over 700 write calls and 5.7 ms to
+# write on a 2-core host; with 32 KiB, 3.6 ms.  A larger buffer saves less
+# and adds to the peak memory that the output tests bound.
+_OUT_BUFFER = 32 * 1024
+
+
+def _write(chunks: Iterable[bytes], out: str | None) -> None:
+    """Write the chunks, in order, to the ``--out`` file or to stdout's
+    binary stream, after anything already written to stdout as text."""
     if out is None:
-        stream = click.get_text_stream("stdout")
+        # sys.stdout itself: click's text stream can be a new wrapper over
+        # the same buffer, whose flush leaves sys.stdout's text behind.
+        import sys
+
+        sys.stdout.flush()
+        stream = click.get_binary_stream("stdout")
         stream.writelines(chunks)
         stream.flush()
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(out, "wb", buffering=_OUT_BUFFER) as fh:
             fh.writelines(chunks)
 
 
-def _render_json(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte."""
-    return "".join(_json_chunks(value, indent))
+# Slot markers.  Each renders as a JSON string no other text can equal
+# ("\u0000" and so on), which ``_template`` turns into a ``%`` slot.
+_INT, _TEXT, _KEPT = "\x00", "\x01", "\x02"
+_SLOTS = {
+    # An integer, filled by the template's ``%``.
+    encode_basestring_ascii(_INT).encode(): b"%d",
+    # Bytes of rendered JSON, filled by the template's ``%``.
+    encode_basestring_ascii(_TEXT).encode(): b"%s",
+    # An integer slot left for a second ``%``, over the filled template.
+    encode_basestring_ascii(_KEPT).encode(): b"%%d",
+}
 
 
-# A slot renders as "\u0000" and so cannot be mistaken for a key or fixed text.
-_SLOT = "\x00"
-_SLOT_JSON = encode_basestring_ascii(_SLOT)
-
-
-def _template(value, indent: str) -> str:
-    """A ``%``-template for ``_render_json(value, indent)``: each ``_SLOT``
-    string in ``value`` becomes a ``%s`` for an already-rendered JSON value."""
-    return _render_json(value, indent).replace("%", "%%").replace(_SLOT_JSON, "%s")
+def _template(value, indent: bytes) -> bytes:
+    """A ``%``-template for the JSON of ``value`` at ``indent``: each slot
+    marker string in ``value`` becomes the slot ``_SLOTS`` names.  Integer
+    slots are ``%d``, as ``bytes % args`` formats no integer with ``%s``.
+    """
+    template = b"".join(_json_chunks(value, indent)).replace(b"%", b"%%")
+    for marker, slot in _SLOTS.items():
+        template = template.replace(marker, slot)
+    return template
 
 
 class _Templated:
     """A result array whose items are rendered in pieces.
 
     ``render(items, indent)`` yields the JSON of the items at that indent in
-    nonempty pieces, each joined as ``_render_json`` joins an array's items.
+    nonempty pieces, each joined as ``_json_chunks`` joins an array's items.
     """
 
     __slots__ = ("items", "render")
 
-    def __init__(self, items, render: Callable[[object, str], Iterable[str]]) -> None:
+    def __init__(self, items, render: Callable[[object, bytes], Iterable[bytes]]) -> None:
         self.items = items
         self.render = render
 
 
-def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
-    """``json.dumps(value, sort_keys=True, indent=2)`` in chunks.
+def _json_chunks(value, indent: bytes = b"\n") -> Iterator[bytes]:
+    """``json.dumps(value, sort_keys=True, indent=2)``, encoded, in chunks.
 
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
     writes a dict key by key, a ``_Templated`` array in its render's pieces
     and an integer array, flat or an ``IntRuns``, in the pieces of
-    ``_int_text``, and leaves only floats to ``json.dumps``.
+    ``_int_text``, and leaves only floats to ``json.dumps``.  Strings are
+    escaped to ASCII, as ``json.dumps`` escapes them, so every chunk is
+    ASCII.
     """
-    inner = indent + "  "
+    inner = indent + b"  "
     if isinstance(value, dict):
         if not value:
-            yield "{}"
+            yield b"{}"
             return
-        sep = "{" + inner
+        sep = b"{" + inner
         for key in sorted(value):
-            yield f"{sep}{encode_basestring_ascii(key)}: "
+            yield b"%s%s: " % (sep, encode_basestring_ascii(key).encode())
             yield from _json_chunks(value[key], inner)
-            sep = "," + inner
-        yield indent + "}"
+            sep = b"," + inner
+        yield indent + b"}"
     elif type(value) is _Templated:
-        head = "[" + inner
+        head = b"[" + inner
         for piece in value.render(value.items, inner):
             yield head
             yield piece
-            head = "," + inner
-        yield "[]" if head[0] == "[" else indent + "]"
+            head = b"," + inner
+        yield b"[]" if head.startswith(b"[") else indent + b"]"
     elif isinstance(value, (list, tuple, IntRuns)):
         if not value:
-            yield "[]"
+            yield b"[]"
             return
-        sep = "," + inner
-        head = "[" + inner
+        sep = b"," + inner
+        head = b"[" + inner
         # type() rather than isinstance: bools render as true and false.
         if type(value) is IntRuns or {*map(type, value)} == {int}:
             yield head
@@ -273,24 +312,24 @@ def _json_chunks(value, indent: str = "\n") -> Iterator[str]:
                 yield head
                 yield from _json_chunks(item, inner)
                 head = sep
-        yield indent + "]"
+        yield indent + b"]"
     elif isinstance(value, str):
-        yield encode_basestring_ascii(value)
+        yield encode_basestring_ascii(value).encode()
     elif type(value) is int:
-        yield int.__repr__(value)
+        yield b"%d" % value
     elif value is None:
-        yield "null"
+        yield b"null"
     elif value is True:
-        yield "true"
+        yield b"true"
     elif value is False:
-        yield "false"
+        yield b"false"
     else:
-        yield json.dumps(value)
+        yield json.dumps(value).encode()
 
 
-def _json_document(envelope: dict) -> Iterator[str]:
+def _json_document(envelope: dict) -> Iterator[bytes]:
     yield from _json_chunks(envelope)
-    yield "\n"
+    yield b"\n"
 
 
 def _finish(
@@ -301,7 +340,7 @@ def _finish(
     fmt: str,
     out: str | None,
     started: float,
-    text_lines: Callable[[], Iterable[str | Iterator[str]]],
+    text_lines: Callable[[], Iterable[str | bytes | Iterator[bytes]]],
 ) -> None:
     if fmt == "json":
         envelope = {
@@ -316,15 +355,18 @@ def _finish(
         _write(_text_chunks(text_lines()), out)
 
 
-def _text_chunks(lines: Iterable[str | Iterator[str]]) -> Iterator[str]:
-    """The text lines, each ended by a newline; a line given as an iterator
-    of chunks (see ``_set_line``) is written chunk by chunk."""
+def _text_chunks(lines: Iterable[str | bytes | Iterator[bytes]]) -> Iterator[bytes]:
+    """The text lines, each ended by a newline.  A line is ``str``, or
+    already-encoded ``bytes``, or an iterator of encoded chunks (see
+    ``_set_line``), written chunk by chunk."""
     for line in lines:
         if type(line) is str:
-            yield line + "\n"
+            line = line.encode()
+        if type(line) is bytes:
+            yield line + b"\n"
         else:
             yield from line
-            yield "\n"
+            yield b"\n"
 
 
 def _failure_result(failure: ClassFailure | None) -> dict | None:
@@ -405,7 +447,7 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
     started = time.perf_counter()
     result_set = core.obstruction_set(prefix, window, backend)
 
-    def text() -> list[str | Iterator[str]]:
+    def text() -> list[str | Iterator[bytes]]:
         return [
             f"prefix: {' '.join(str(x) for x in result_set.prefix)}",
             f"M: {result_set.window}",
@@ -427,26 +469,30 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
 
 
 @functools.cache
-def _witness_template(indent: str | None, i: int, j: int) -> str:
+def _witness_template(indent: bytes | None, i: int, j: int) -> bytes:
     # i and j are filled in: a listing has one template per pair (i, j).  The
     # JSON of a witness at ``indent``, or its text line without one.
     if indent is None:
-        return f"(i={i}, j={j}, k=[" + ", ".join(["%s"] * (j - 1)) + "])"
-    return _template({"i": i, "j": j, "k": [_SLOT] * (j - 1)}, indent)
+        return b"(i=%d, j=%d, k=[%s])" % (i, j, b", ".join([b"%d"] * (j - 1)))
+    return _template({"i": i, "j": j, "k": [_INT] * (j - 1)}, indent)
 
 
-def _witness_pieces(arrays, indent: str | None = None) -> Iterator[str]:
+def _witness_pieces(arrays, indent: bytes | None = None) -> Iterator[bytes]:
     """The witnesses of ``Resonances.arrays`` as JSON at ``indent`` or, with
     none, as text lines: each stretch of at most ``_ITEM_CHUNK`` witnesses
     of one pair is one piece and one ``%`` of its template, sliced from its
-    pair's array only when the piece is made."""
-    sep = "\n" if indent is None else "," + indent
+    pair's array only when the piece is made.  Every piece of a pair but
+    its last shares one template of ``_ITEM_CHUNK`` lines."""
+    sep = b"\n" if indent is None else b"," + indent
     for i, j, flat in arrays:
         line = _witness_template(indent, i, j)
         step = _ITEM_CHUNK * (j - 1)
+        template = sep.join([line] * _ITEM_CHUNK)
         for start in range(0, len(flat), step):
             ks = flat[start : start + step]
-            yield sep.join([line] * (len(ks) // (j - 1))) % tuple(ks)
+            if len(ks) < step:
+                template = sep.join([line] * (len(ks) // (j - 1)))
+            yield template % tuple(ks)
 
 
 @cli.command("resonances")
@@ -469,7 +515,7 @@ def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: 
         "witnesses": _Templated(witnesses.arrays, _witness_pieces),
     }
 
-    def text() -> Iterator[str]:
+    def text() -> Iterator[str | bytes]:
         yield f"weight: {' '.join(str(x) for x in weights)}"
         yield f"count: {count}"
         yield from _witness_pieces(witnesses.arrays)
@@ -500,7 +546,7 @@ def enumerate_cmd(
         "count": len(admissible),
     }
 
-    def text() -> list[str | Iterator[str]]:
+    def text() -> list[str | Iterator[bytes]]:
         return [
             f"prefix: {' '.join(str(x) for x in prefix)}",
             f"M: {window}",
@@ -546,7 +592,7 @@ def count(ctx: click.Context, m1: int, m2: int, fmt: str, out: str | None) -> No
         "matches": report.matches,
     }
 
-    def text() -> list[str | Iterator[str]]:
+    def text() -> list[str | Iterator[bytes]]:
         return [
             f"m1: {report.m1}",
             f"m2: {report.m2}",
@@ -612,55 +658,57 @@ _SCAN_FILTERS = {
 
 @functools.cache
 def _scan_row_template(
-    n_weight: int, n_witnesses: int, n_sizes: int, failed: bool, indent: str
-) -> str:
-    # Keys in sorted order, which is the order of the template's slots.
-    slots = [_SLOT]
+    n_weight: int, n_witnesses: int, nulls: tuple[bool, ...], failed: bool, indent: bytes
+) -> bytes:
+    # Keys in sorted order, which is the order of the template's slots.  The
+    # row's n_resonances and last entry are kept for a second ``%``; a window
+    # size that is None is fixed text.
     return _template(
         {
-            "failure": {"level": _SLOT, "reason": _SLOT} if failed else None,
-            "i_set_sizes": slots * n_sizes,
+            "failure": {"level": _INT, "reason": _TEXT} if failed else None,
+            "i_set_sizes": [None if null else _INT for null in nulls],
             "in_class": not failed,
-            "n_resonances": _SLOT,
-            "weight": slots * n_weight,
-            "witnesses": slots * n_witnesses,
+            "n_resonances": _KEPT,
+            "weight": [_INT] * (n_weight - 1) + [_KEPT],
+            "witnesses": [_INT] * n_witnesses,
         },
         indent,
     )
 
 
-def _scan_json_line(indent: str, stretch: tuple) -> str:
+def _scan_json_line(indent: bytes, stretch: tuple) -> bytes:
     # The JSON of a row of the stretch with its fixed slots filled: a
     # template whose two slots are the row's n_resonances and its last entry.
     head, witnesses, failure, sizes = stretch[:4]
-    if None in sizes:
-        sizes = ["null" if s is None else s for s in sizes]
+    nulls = tuple(s is None for s in sizes)
+    if True in nulls:
+        sizes = [s for s in sizes if s is not None]
     template = _scan_row_template(
-        len(head) + 1, len(witnesses), len(sizes), failure is not None, indent
+        len(head) + 1, len(witnesses), nulls, failure is not None, indent
     )
     if failure is None:
-        return template % (*sizes, "%s", *head, "%s", *witnesses)
-    reason = encode_basestring_ascii(failure.reason).replace("%", "%%")
-    return template % (failure.level, reason, *sizes, "%s", *head, "%s", *witnesses)
+        return template % (*sizes, *head, *witnesses)
+    reason = encode_basestring_ascii(failure.reason).encode().replace(b"%", b"%%")
+    return template % (failure.level, reason, *sizes, *head, *witnesses)
 
 
-def _scan_text_line(stretch: tuple) -> str:
+def _scan_text_line(stretch: tuple) -> bytes:
     # The text line of a row of the stretch, with slots for its last entry
     # and its n_resonances.
     head, witnesses, failure, sizes = stretch[:4]
     parts = [
-        "".join(f"{e} " for e in head) + "%s",
+        "".join(f"{e} " for e in head) + "%d",
         f"in_class={_fmt_bool(failure is None)}",
         f"witnesses={_fmt_list(witnesses)}",
-        "resonances=%s",
+        "resonances=%d",
         "i_sizes=" + _fmt_list("-" if s is None else s for s in sizes),
     ]
     if failure is not None:
         parts.append(f"failure={failure.reason}@{failure.level}".replace("%", "%%"))
-    return "  ".join(parts)
+    return "  ".join(parts).encode()
 
 
-def _scan_csv_line(writer, stretch: tuple) -> str:
+def _scan_csv_line(writer, stretch: tuple) -> bytes:
     # The CSV line of a row of the stretch, with slots for its last entry and
     # its n_resonances.  Those two fields and the weight are digits and
     # spaces, which csv never quotes; the writer quotes the others.
@@ -671,18 +719,18 @@ def _scan_csv_line(writer, stretch: tuple) -> str:
         "" if failure is None else f"{failure.reason}@{failure.level}",
     ])
     middle, tail = middle[:-1].replace("%", "%%"), tail.replace("%", "%%")
-    return "".join(f"{e} " for e in head) + f"%s,{middle},%s,{tail}"
+    return ("".join(f"{e} " for e in head) + f"%d,{middle},%d,{tail}").encode()
 
 
 def _row_pieces(
-    stretches, line: Callable[[tuple], str], sep: str, count_first: bool
-) -> Iterator[str]:
+    stretches, line: Callable[[tuple], bytes], sep: bytes, count_first: bool
+) -> Iterator[bytes]:
     """The rows of ``ScanRows.stretches`` joined by ``sep``, in pieces of
     ``_ITEM_CHUNK`` rows, the last one shorter.  ``line(stretch)`` is a row
-    of the stretch with two slots left, its last entry and its
+    of the stretch with two ``%d`` slots left, its last entry and its
     n_resonances, in that order unless ``count_first``; each piece is one
     ``%`` of the lines of its rows."""
-    templates: list[str] = []
+    templates: list[bytes] = []
     values: list = []
     for stretch in stretches:
         ms, counts = stretch[4:]
@@ -701,14 +749,14 @@ def _row_pieces(
         yield sep.join(templates) % tuple(values)
 
 
-def _scan_rows_json(stretches, indent: str) -> Iterator[str]:
+def _scan_rows_json(stretches, indent: bytes) -> Iterator[bytes]:
     """The JSON of the rows of ``ScanRows.stretches`` at ``indent``, in
     pieces of ``_ITEM_CHUNK`` rows."""
-    return _row_pieces(stretches, functools.partial(_scan_json_line, indent), "," + indent, True)
+    return _row_pieces(stretches, functools.partial(_scan_json_line, indent), b"," + indent, True)
 
 
-def _scan_text(rows: ScanRows) -> Iterator[str]:
-    yield from _row_pieces(rows.stretches, _scan_text_line, "\n", False)
+def _scan_text(rows: ScanRows) -> Iterator[str | bytes]:
+    yield from _row_pieces(rows.stretches, _scan_text_line, b"\n", False)
     yield f"rows: {len(rows)}"
 
 
@@ -721,12 +769,12 @@ class _Lines:
         return line
 
 
-def _scan_csv(rows: ScanRows) -> Iterator[str]:
+def _scan_csv(rows: ScanRows) -> Iterator[bytes]:
     writer = csv.writer(_Lines, lineterminator="\n")
     yield writer.writerow(
         ["weight", "in_class", "witnesses", "n_resonances", "i_set_sizes", "failure"]
-    )
-    yield from _row_pieces(rows.stretches, functools.partial(_scan_csv_line, writer), "", False)
+    ).encode()
+    yield from _row_pieces(rows.stretches, functools.partial(_scan_csv_line, writer), b"", False)
 
 
 @cli.command()

@@ -729,24 +729,45 @@ def enumerate_admissible(prefix, M: int, backend: str = "sieve") -> list[int]:
     Returns every integer s strictly inside the window that avoids the
     obstruction set, exceeds the last prefix entry, and keeps the overall gcd
     at 1.  Each returned s is re-checked to extend the prefix into the class.
+
+    The gaps are read run by run from ``ObstructionSet.gap_runs()``, and so
+    is the re-check: a run whose ends lie strictly inside window M has no
+    multiple of the prefix sum in it and has M as its window, and one
+    ``contains`` pass over it, with no call per gap beyond the test itself,
+    shows that no s in it is in the prefix's semigroup.  Those are the
+    conditions ``_Prefix.judge`` tests for each s on its own.
     """
     pref = _check_prefix(prefix)
     state = _prefix_state(pref)
     if state.failure is not None:
         raise WeightError(f"prefix not in the weight class: {state.failure.reason}")
     iset = obstruction_set(pref, M, backend)
-    prefix_gcd = math.gcd(*pref)
+    lo, hi = window_interval(state.sigma, M)
+    contains = state.group.contains
+    # With the prefix positive and increasing (_check_prefix), s > pref[-1]
+    # and no prime of the prefix gcd dividing s are the rest of
+    # validate_weight((*pref, s)).
+    primes = _prime_factors(math.gcd(*pref))
+    first = pref[-1] + 1
     out: list[int] = []
-    for s in iset.gaps():
-        # With the prefix positive and increasing (_check_prefix), these two
-        # tests are the rest of validate_weight((*pref, s)).
-        if s <= pref[-1] or math.gcd(prefix_gcd, s) != 1:
-            continue
-        if state.judge(s)[1] is not None:
+    for run in iset.gap_runs():
+        if run.start < first:
+            run = range(first, run.stop)
+            if not run:
+                continue
+        if not lo < run.start <= run[-1] < hi or any(map(contains, run)):
             raise RuntimeError(
-                f"internal check failed: {(*pref, s)} should be in the class"
+                f"internal check failed: {pref} extended by each of "
+                f"{run.start}..{run[-1]} should be in the class"
             )
-        out.append(s)
+        if primes:
+            keep = bytearray(b"\x01") * len(run)
+            for p in primes:
+                multiples = range(-run.start % p, len(run), p)
+                keep[multiples.start :: p] = bytes(len(multiples))
+            out += itertools.compress(run, keep)
+        else:
+            out += run
     return out
 
 

@@ -27,10 +27,9 @@ imported on its first call only.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -155,6 +154,18 @@ def _check_window(M: int) -> int:
     return M
 
 
+class _State:
+    """What a ``Semigroup`` shares with its ``contains``: the Apery table and
+    the suffix, each made on first use, and the search budget left."""
+
+    __slots__ = ("table", "suffix", "budget")
+
+    def __init__(self) -> None:
+        self.table: AperyTable | None = None
+        self.suffix: Semigroup | None = None
+        self.budget = 0
+
+
 class Semigroup:
     """The numerical semigroup of a generator tuple.
 
@@ -166,37 +177,39 @@ class Semigroup:
     progressions of ``_progressions``, with one body for every generator
     count.  ``table`` is the Apery table and
     ``suffix`` the semigroup of gens[1:]; both are made on first use.
+    ``d`` is the generators' gcd.
     ``contains`` is chosen when the value is made, so each test is one call:
 
-    - one generator g: divisibility by g, ``d`` being g;
+    - one generator g: divisibility by g;
     - two, a < b: with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for
       k_a in one residue class modulo ``period`` = b/d, the least of which
       is (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.
       So t is in <a, b> iff d divides t and that least k_a has a*k_a <= t.
       The pair's ``d``, ``period`` and ``inverse`` are kept for callers
       that walk the solutions;
-    - three or more: t is in it iff t - k*gens[0] lies in ``suffix`` for
-      some k >= 0, and the test searches those k.  The searches share a
-      budget; a search that would overrun it builds the table instead, and
-      every later test is a lookup in it.  A value made from a bare tuple
-      has a budget of gens[0] steps, as many as the table has residues, so
-      a value that is asked little never gets a table, and its table comes
-      from :func:`build_apery`.  A value made by ``parent.child(g)`` has no
-      budget: its first test derives its table from the parent's with
-      :func:`extend_apery`, so a walk over prefixes that asks many tests of
-      each builds each table once, and never a suffix.
+    - three or more: a t that d does not divide is out at once.  Otherwise
+      t is in it iff t - k*gens[0] lies in ``suffix`` for some k >= 0, and
+      the test searches those k.  The searches share a budget; a search
+      that would overrun it builds the table instead, and every later test
+      is a lookup in it, inside the same call.  A value made from a bare
+      tuple has a budget of gens[0] steps, as many as the table has
+      residues, so a value that is asked little never gets a table, and its
+      table comes from :func:`build_apery`.  A value made by
+      ``parent.child(g)`` has no budget: its first test derives its table
+      from the parent's with :func:`extend_apery`, so a walk over prefixes
+      that asks many tests of each builds each table once, and never a
+      suffix.  This test holds the table, the suffix and the parent, but
+      not the value itself, so a dropped value is freed at once, with no
+      reference cycle for the collector.
     """
 
-    __slots__ = (
-        "gens", "contains", "d", "period", "inverse", "_parent", "_table", "_suffix", "_budget"
-    )
+    __slots__ = ("gens", "contains", "d", "period", "inverse", "_parent", "_state")
 
     def __init__(self, generators, parent: Semigroup | None = None) -> None:
         # A child's generators are its parent's, checked, and one above them.
         gens = self.gens = _check_generators(generators) if parent is None else generators
         self._parent = parent
-        self._table: AperyTable | None = None
-        self._suffix: Semigroup | None = None
+        state = self._state = _State()
         if len(gens) == 1:
             (g,) = gens
             self.d = g
@@ -212,8 +225,10 @@ class Semigroup:
 
             self.contains = in_pair
         else:
-            self._budget = gens[0] if parent is None else 0
-            self.contains = self._search
+            self.d = math.gcd(*gens)
+            if parent is None:
+                state.budget = gens[0]
+            self.contains = _searcher(gens, self.d, state, parent)
 
     def child(self, g: int) -> Semigroup:
         """The semigroup with g, above every generator, added; its table is
@@ -226,13 +241,11 @@ class Semigroup:
     @property
     def table(self) -> AperyTable:
         """The Apery table, built on first use."""
-        if self._table is None:
+        state = self._state
+        if state.table is None:
             gens = self.gens
             if len(gens) > 2:
-                if self._parent is None:
-                    self._table = build_apery(gens)
-                else:
-                    self._table = extend_apery(self._parent.table, gens[-1])
+                state.table = _apery(gens, self._parent)
             else:
                 # Each class start, all below a*b, is the least element of its
                 # class.
@@ -240,34 +253,16 @@ class Semigroup:
                 least: list[int | None] = [None] * a
                 for value in self._progressions(a * gens[-1])[1]:
                     least[value % a] = value
-                self._table = AperyTable(generators=gens, modulus=a, least=tuple(least))
-        return self._table
+                state.table = AperyTable(generators=gens, modulus=a, least=tuple(least))
+        return state.table
 
     @property
     def suffix(self) -> Semigroup:
         """The semigroup of gens[1:], made on first use from the bare tuple."""
-        if self._suffix is None:
-            self._suffix = Semigroup(self.gens[1:])
-        return self._suffix
-
-    def _search(self, t: int) -> bool:
-        if t < 0:
-            return False
-        if self._table is None:
-            g = self.gens[0]
-            needed = t // g + 1
-            steps = min(needed, self._budget)
-            if steps:
-                inside = self.suffix.contains
-                for k in range(steps):
-                    if inside(t - k * g):
-                        self._budget -= k + 1
-                        return True
-                self._budget -= steps
-                if steps == needed:
-                    return False
-            self.contains = functools.partial(is_representable, self.table)
-        return is_representable(self._table, t)
+        state = self._state
+        if state.suffix is None:
+            state.suffix = Semigroup(self.gens[1:])
+        return state.suffix
 
     def window(self, M: int) -> ObstructionSet:
         """The obstruction set of window M over the generators.
@@ -367,6 +362,48 @@ class Semigroup:
         return a, range(0, top if top < hi else hi, b)
 
 
+def _apery(gens: tuple[int, ...], parent: Semigroup | None) -> AperyTable:
+    # The table of three or more generators: derived from the parent's, or
+    # built from scratch for a bare tuple.
+    if parent is None:
+        return build_apery(gens)
+    return extend_apery(parent.table, gens[-1])
+
+
+def _searcher(
+    gens: tuple[int, ...], d: int, state: _State, parent: Semigroup | None
+) -> Callable[[int], bool]:
+    # ``Semigroup.contains`` of three or more generators, over the state it
+    # shares with its semigroup and not over the semigroup.
+    g = gens[0]
+
+    def contains(t: int) -> bool:
+        table = state.table
+        if table is None:
+            # Off the gcd, t is out before any step spends budget.
+            if t < 0 or t % d:
+                return False
+            needed = t // g + 1
+            steps = min(needed, state.budget)
+            if steps:
+                if state.suffix is None:
+                    state.suffix = Semigroup(gens[1:])
+                inside = state.suffix.contains
+                for k in range(steps):
+                    if inside(t - k * g):
+                        state.budget -= k + 1
+                        return True
+                state.budget -= steps
+                if steps == needed:
+                    return False
+            table = state.table = _apery(gens, parent)
+        # Every least value is at least 0, so this is false for t < 0.
+        least = table.least[t % table.modulus]
+        return least is not None and t >= least
+
+    return contains
+
+
 def is_representable(table: AperyTable, t: int) -> bool:
     """True iff t is a nonnegative combination of the generators (0 counts)."""
     t = operator.index(t)
@@ -404,5 +441,5 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
             f"table generators {table.generators} do not match prefix {pref}"
         )
     group = Semigroup(pref)
-    group._table = table
+    group._state.table = table
     return group.window(M)

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,7 +18,6 @@ from qcweights import cli as cli_module
 from qcweights import core, counting
 from qcweights.cli import (
     _json_chunks,
-    _render_json,
     _scan_rows_json,
     _set_line,
     _Templated,
@@ -574,7 +574,8 @@ import contextlib, io, sys
 sys.modules["numpy"] = None
 from qcweights.cli import main
 for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
+    # The CLI writes bytes to stdout's buffer, which a real stdout has.
+    with contextlib.redirect_stdout(io.TextIOWrapper(io.BytesIO())):
         print(main(argv.split()), flush=True, file=sys.stderr)
 """
         invocations = {
@@ -635,6 +636,62 @@ class TestOutputSinks:
         assert file_out == ""
         assert strip_elapsed(target.read_bytes().decode()) == strip_elapsed(out)
         assert out.count("\n") > 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [*command, "--format", fmt]
+            for command, formats in [
+                (["classify", "3", "7", "11"], ("text", "json")),
+                (["classify", "3", "5", "9"], ("text", "json")),
+                (["iset", "3", "7", "--M", "2"], ("text", "json")),
+                (["iset", "3", "5", "7", "--M", "5", "--backend", "apery"], ("text", "json")),
+                (["resonances", "2", "3", "5", "7", "30"], ("text", "json")),
+                (["resonances", "3", "5", "7"], ("text", "json")),
+                (["enumerate", "5", "7", "--M", "2"], ("text", "json")),
+                (["enumerate", "6", "10", "15", "--M", "2"], ("text", "json")),
+                (["count", "5", "11"], ("text", "json")),
+                (["count", "1009", "1013"], ("text", "json")),
+                (["table", "d-table"], ("text", "json")),
+                (["table", "f-table"], ("text", "json")),
+                (["scan", "--n", "3", "--max", "12"], ("text", "json", "csv")),
+                (["scan", "--n", "4", "--max", "12", "--filter", "both"], ("text", "json", "csv")),
+            ]
+            for fmt in formats
+        ],
+        ids=" ".join,
+    )
+    def test_every_command_writes_the_same_bytes_to_both_sinks(
+        self, capsysbinary, tmp_path, argv
+    ):
+        # The raw bytes, each line ended by a bare \n, through stdout's
+        # binary stream and through the --out file.
+        target = tmp_path / "out"
+        code = main(argv)
+        out = capsysbinary.readouterr().out
+        file_code = main([*argv, "--out", str(target)])
+        assert capsysbinary.readouterr().out == b""
+        assert code == file_code
+        assert _strip_elapsed_bytes(target.read_bytes()) == _strip_elapsed_bytes(out)
+        assert out.isascii() and out.endswith(b"\n") and b"\r" not in out
+
+    def test_text_written_first_stays_first(self):
+        # Text still buffered in stdout, a pipe here, goes out before the
+        # bytes written to its binary stream.  PYTHONUNBUFFERED would make
+        # stdout write through and leave no text buffered.
+        code = (
+            "import sys; from qcweights.cli import main; "
+            "sys.stdout.write('before '); sys.exit(main(['table', 'f-table']))"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, check=True, env=env
+        )
+        assert proc.stdout.startswith(b"before f(m2) for m1 = 3\n")
+
+
+def _strip_elapsed_bytes(out: bytes) -> bytes:
+    return re.sub(rb'^\s*"elapsed_ms": [0-9.]+,?\n', b"", out, flags=re.MULTILINE)
 
 
 def _count_envelope(m1, m2):
@@ -752,7 +809,7 @@ class TestLongTextSets:
         assert target.read_bytes() == text.encode()
 
     def test_empty_set_line(self):
-        assert "".join(cli_module._set_line("admissible", ())) == "admissible: {}"
+        assert b"".join(cli_module._set_line("admissible", ())) == b"admissible: {}"
 
     def test_text_peak_follows_the_answer(self, tmp_path):
         target = tmp_path / "out.txt"
@@ -867,7 +924,7 @@ class TestJsonWriter:
     @settings(max_examples=300, deadline=None)
     @given(_json_trees)
     def test_matches_json_dumps(self, tree):
-        assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+        assert b"".join(_json_chunks(tree)) == json.dumps(tree, sort_keys=True, indent=2).encode()
 
     @pytest.mark.parametrize(
         "tree",
@@ -884,7 +941,7 @@ class TestJsonWriter:
         ],
     )
     def test_edge_cases(self, tree):
-        assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2)
+        assert b"".join(_json_chunks(tree)) == json.dumps(tree, sort_keys=True, indent=2).encode()
 
     @pytest.mark.parametrize(
         "length",
@@ -900,14 +957,15 @@ class TestJsonWriter:
         ]
         tree = {"a": _Templated(arrays, _witness_pieces), "b": [True]}
         expected = {"a": _witness_dicts(arrays), "b": [True]}
-        assert "".join(_json_chunks(tree)) == json.dumps(expected, sort_keys=True, indent=2)
+        dumped = json.dumps(expected, sort_keys=True, indent=2)
+        assert b"".join(_json_chunks(tree)) == dumped.encode()
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 4097])
     def test_integer_chunk_boundaries(self, extra):
         items = list(range(-3, cli_module._INT_CHUNK + extra - 3))
         for tree in ({"a": items, "b": tuple(items)}, {"a": [*items, True]}):
             expected = json.dumps(tree, sort_keys=True, indent=2)
-            assert "".join(_json_chunks(tree)) == expected
+            assert b"".join(_json_chunks(tree)) == expected.encode()
 
 
 _ints = st.integers() | st.integers(min_value=2**63, max_value=2**80)
@@ -976,7 +1034,7 @@ def _stretches(rows) -> list[tuple]:
 
 def _streamed(key, items, render) -> str:
     # The array sits where the envelope puts it: result -> key -> items.
-    return "".join(_json_chunks({"result": {key: _Templated(items, render)}}))
+    return b"".join(_json_chunks({"result": {key: _Templated(items, render)}})).decode("ascii")
 
 
 def _dumped(key, items) -> str:
@@ -1029,7 +1087,7 @@ class TestRowTemplates:
         expected = "\n".join(
             f"(i={w.i}, j={w.j}, k=[{', '.join(map(str, w.k))}])" for w in _witnesses(arrays)
         )
-        assert "\n".join(_witness_pieces(arrays)) == expected
+        assert b"\n".join(_witness_pieces(arrays)) == expected.encode()
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_scan_rows, min_size=1, max_size=3), st.data())
@@ -1313,10 +1371,12 @@ class TestRunBlocks:
         ints = [t for run in runs for t in run]
         tree = {"gap_set": IntRuns(runs), "z": [1]}
         expected = json.dumps({"gap_set": ints, "z": [1]}, sort_keys=True, indent=2)
-        assert _render_json(tree) == expected
-        assert "".join(_set_line("gap_set", IntRuns(runs))) == f"gap_set: {_unchunked_set(ints)}"
+        assert b"".join(_json_chunks(tree)) == expected.encode()
+        assert b"".join(_set_line("gap_set", IntRuns(runs))) == (
+            f"gap_set: {_unchunked_set(ints)}".encode()
+        )
 
     def test_blocks_are_joined_suffixes(self):
         # The block path is taken: a full block comes out as one piece.
-        pieces = list(cli_module._run_text((range(2000, 3000),), ", "))
-        assert pieces == ["2", ", ".join(map(str, range(2000, 3000)))[1:]]
+        pieces = list(cli_module._run_text((range(2000, 3000),), b", "))
+        assert pieces == [b"2", ", ".join(map(str, range(2000, 3000)))[1:].encode()]

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import gc
 import math
@@ -32,6 +33,24 @@ from oracles import (
     sieve_window_elements,
     valid_weights,
 )
+
+
+def _per_gap_admissible(prefix, M, backend="sieve"):
+    """``core.enumerate_admissible`` as it was before its check went run by
+    run: a gcd test and one ``_Prefix.judge`` per gap of the window."""
+    pref = core._check_prefix(prefix)
+    state = core._prefix_state(pref)
+    if state.failure is not None:
+        raise WeightError(f"prefix not in the weight class: {state.failure.reason}")
+    prefix_gcd = math.gcd(*pref)
+    out = []
+    for s in core.obstruction_set(pref, M, backend).gaps():
+        if s <= pref[-1] or math.gcd(prefix_gcd, s) != 1:
+            continue
+        if state.judge(s)[1] is not None:
+            raise RuntimeError(f"internal check failed: {(*pref, s)} should be in the class")
+        out.append(s)
+    return out
 
 
 def table_calls(monkeypatch, stub=False):
@@ -416,9 +435,9 @@ class TestIsInClass:
     @pytest.mark.parametrize(
         "m, in_class, tabled",
         [
-            # The prefix has gcd 2 and the last entry is odd: no search
-            # finds it, and the budget of 6 steps runs out.
-            ((6, 8, 10, 10**6 + 1), True, True),
+            # The prefix has gcd 2 and the last entry is odd: the gcd cut
+            # answers before any search step.
+            ((6, 8, 10, 10**6 + 1), True, False),
             # Only k_1 = 5 leaves a multiple of gcd(12, 18) = 6, one step
             # past the budget of 5, so the table answers.
             ((5, 12, 18, 10**6 + 3), False, True),
@@ -426,6 +445,9 @@ class TestIsInClass:
             ((5, 12, 18, 10**6 + 1), False, False),
             ((3, 10, 11, 10**6 + 1), False, False),
             ((999983, 999989, 1999973, 4999999), True, False),
+            # Without the gcd cut, the search spent its whole budget of 10**6
+            # steps here and then built a table of 10**6 residues.
+            ((1000000, 1000002, 1000004, 10**12 + 1), True, False),
         ],
     )
     def test_table_only_past_the_search_budget(self, monkeypatch, m, in_class, tabled):
@@ -657,7 +679,8 @@ class TestResonances:
     def test_suffix_searches_share_one_table_budget(self, monkeypatch):
         # The searches of the suffix (20, 22, 24) may take 20 steps in all,
         # as many as its Apery table has residues; past that the table,
-        # built once, answers.
+        # built once, answers.  An odd target is off the gcd 2 and takes no
+        # step.
         steps, built = [], []
         build_apery = core.semigroup.build_apery
         monkeypatch.setattr(
@@ -674,10 +697,15 @@ class TestResonances:
         assert search(64) and search(42) and not search(2)
         for t in range(21, 100, 2):
             assert not search(t)
+        assert len(steps) == 5 and built == []
+        for t in (26, 28, 30, 32, 34, 36, 38, 50, 52, 54, 56, 58, 74, 76, 78, 98):
+            assert not search(t)
         assert len(steps) <= 20
-        assert group.contains is not search
+        assert built == [(20, 22, 24)]
+        searched = len(steps)
         members = {20 * a + 22 * b + 24 * c for a in range(5) for b in range(5) for c in range(5)}
         assert [t for t in range(100) if search(t)] == sorted(t for t in members if t < 100)
+        assert len(steps) == searched
         assert built == [(20, 22, 24)]
 
     @pytest.mark.parametrize(
@@ -897,6 +925,46 @@ class TestEnumerateAdmissible:
         for s in admissible:
             assert core.validate_weight((*prefix, s)).m == (*prefix, s)
 
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.integers(1, 30), min_size=2, max_size=4, unique=True).map(sorted),
+        st.integers(1, 4),
+        st.integers(1, 4),
+        st.sampled_from(sorted(core.BACKENDS)),
+    )
+    @example([2, 3], 2, 2, "sieve")
+    @example([2, 3, 5], 3, 1, "apery")
+    @example([3, 5], 2, 3, "brute")
+    def test_matches_the_per_gap_check(self, entries, factor, window, backend):
+        # Prefixes scaled by up to 4, so most have a gcd > 1, against the
+        # loop this check replaced: one _Prefix.judge per gap.
+        prefix = tuple(factor * e for e in entries)
+        try:
+            expected = _per_gap_admissible(prefix, window, backend)
+        except WeightError:
+            with pytest.raises(WeightError):
+                core.enumerate_admissible(prefix, window, backend)
+            return
+        assert core.enumerate_admissible(prefix, window, backend) == expected
+
+    @pytest.mark.parametrize(
+        "prefix, window",
+        [((5, 7), 2), ((3, 7, 11), 1), ((4, 6), 2), ((6, 10, 15), 2), ((9, 12), 1)],
+    )
+    def test_a_window_pass_that_drops_an_element_is_caught(self, monkeypatch, prefix, window):
+        # Each element above the last entry, dropped in turn from the window
+        # pass, becomes a gap in the prefix's semigroup, which the re-check
+        # of its run must catch, whether or not the gcd filter keeps it.
+        honest = core.obstruction_set(prefix, window)
+        dropped = [e for e in honest.elements if e > prefix[-1]]
+        assert dropped
+        for e in dropped:
+            elements = tuple(x for x in honest.elements if x != e)
+            broken = dataclasses.replace(honest, elements=elements)
+            monkeypatch.setattr(core, "obstruction_set", lambda *args, broken=broken: broken)
+            with pytest.raises(RuntimeError, match="internal check failed"):
+                core.enumerate_admissible(prefix, window)
+
     def test_prefix_must_be_in_class(self):
         with pytest.raises(WeightError, match="base-case-m1"):
             core.enumerate_admissible((1, 2), 2)
@@ -1003,6 +1071,33 @@ class TestScan:
             tracemalloc.stop()
         assert len(rows) == 32865
         assert peak < 2.5 * 2**20
+
+    def test_dropped_scan_is_freed_without_the_collector(self):
+        # A semigroup's membership test does not hold the semigroup, so the
+        # tables of a scan's prefixes go with the answer's last reference.
+        # When each semigroup held itself through a bound method, 199,339 of
+        # the 270,699 traced bytes stayed allocated after del, and the
+        # collector then found 4,862 unreachable objects.  The first,
+        # untraced scan fills CPython's free lists, which keep some freed
+        # blocks allocated until a full collection.
+        core.scan(4, 14)
+        gc.collect()
+        gc.disable()
+        try:
+            core.scan(4, 14)
+            tracemalloc.start()
+            try:
+                rows = core.scan(4, 14)
+                alive, _ = tracemalloc.get_traced_memory()
+                del rows
+                left, _ = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert left < alive / 2
+        assert unreachable == 0
 
 
 _scan_stretches = st.lists(

@@ -284,7 +284,7 @@ def searched_only(gens):
     levels = []
     level = group
     while len(level.gens) > 2:
-        level._budget = 10**18
+        level._state.budget = 10**18
         levels.append(level)
         level = level.suffix
     return group, levels
@@ -311,9 +311,9 @@ class TestSemigroup:
             assert bare.contains(t) == expected, t
             assert kid.contains(t) == expected, t
             assert searched.contains(t) == expected, t
-        assert all(level._table is None for level in levels)
+        assert all(level._state.table is None for level in levels)
         # A child looks every test up in its derived table, never searching.
-        assert kid._suffix is None
+        assert kid._state.suffix is None
         assert kid.table == semigroup.build_apery(gens)
         assert bare.table == kid.table
 
@@ -370,13 +370,40 @@ class TestSemigroup:
             semigroup, "AperyTable", lambda **fields: built.append(fields) or table(**fields)
         )
         group = semigroup.Semigroup(gens)
-        budget = getattr(group, "_budget", None)
+        budget = group._state.budget
         for t in (-1, -gens[0], -gens[0] - 1, -100, -(10**30)):
             assert group.contains(t) is False, t
-        assert getattr(group, "_budget", None) == budget
-        assert group._table is None and group._suffix is None
+        assert group._state.budget == budget
+        assert group._state.table is None and group._state.suffix is None
         assert built == []
         assert derived(gens).contains(-1) is False
+
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.sets(st.integers(1, 12), min_size=3, max_size=5),
+        st.integers(2, 6),
+        st.lists(st.integers(-100, 10**6), max_size=20),
+    )
+    @example({1, 4, 5}, 2, [])
+    @example({3, 5, 7}, 3, [10**6])
+    def test_contains_off_the_gcd_matches_table(self, entries, factor, targets):
+        # Generators with gcd > 1: every way of making the value answers as
+        # a lookup in build_apery's table does, and a fresh value answers a
+        # target off the gcd with no search step and no table.
+        gens = tuple(sorted(factor * e for e in entries))
+        table = semigroup.build_apery(gens)
+        bare, kid = semigroup.Semigroup(gens), derived(gens)
+        searched, _ = searched_only(gens)
+        assert bare.d == kid.d == math.gcd(*gens) > 1
+        for t in [*range(-gens[-1], gens[0] * gens[-1] + 2), *targets]:
+            expected = semigroup.is_representable(table, t)
+            assert bare.contains(t) == kid.contains(t) == searched.contains(t) == expected, t
+        fresh = semigroup.Semigroup(gens)
+        for t in [*range(1, 3 * gens[-1]), *targets]:
+            if t % fresh.d:
+                assert fresh.contains(t) is False, t
+        assert fresh._state.budget == gens[0]
+        assert fresh._state.table is None and fresh._state.suffix is None
 
     def test_child_must_extend_upwards(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -401,7 +428,7 @@ class TestWindowSize:
     def test_pair_matches_window_and_oracle(self, pair, window):
         group = semigroup.Semigroup(pair)
         size = group.window_size(window)
-        assert group._table is None
+        assert group._state.table is None
         assert size == len(group.window(window).elements)
         assert size == len(oracle_window_elements(pair, window))
 
