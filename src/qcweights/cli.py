@@ -42,6 +42,20 @@ The templates are ``bytes`` with ``%d`` integer slots: CPython's
 steps through the format one character at a time, and most of each row or
 witness template is fixed text.
 
+Every command runs through one runner, ``_command``.  A command's body
+takes its own click parameters and answers: it computes its answer and
+returns an ``_Answer``, which holds the result dict, a callable that makes
+the text lines, the envelope's backend, the exit code, the mismatch message
+if there is one and, on scan, a callable that makes the CSV.  The runner
+owns the rest: it adds ``--format`` and ``--out`` after the body's
+parameters, times the body, builds the JSON envelope, renders the chosen
+format, writes it through the sink, prints the mismatch message to stderr
+and exits with the code.  The envelope's ``input`` echoes every parameter
+of the body, defaults included, under its command-line name: an argument
+under its own (``weights``), an option under its flag without the dashes
+(``--M`` as ``M``, ``--max`` as ``max``), with a tuple of arguments as a
+list.
+
 Exit codes: 0 success, 1 invalid input, 2 internal mismatch (a correctness
 failure that must never occur), 3 negative mathematical answer (weight not
 in the class, or resonances found).
@@ -56,6 +70,7 @@ import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii
+from typing import NamedTuple
 
 import click
 
@@ -65,6 +80,7 @@ from qcweights.model import (
     IntRuns,
     MembershipVerdict,
     ObstructionSet,
+    Resonances,
     ScanRows,
     WeightError,
     window_interval,
@@ -88,6 +104,9 @@ _scan_format_option = click.option(
     envvar=FORMAT_ENVVAR,
     help="Output format (env default: QCW_FORMAT).",
 )
+_window_option = click.option(
+    "--M", "window", type=int, required=True, help="Window index, >= 1."
+)
 _out_option = click.option(
     "--out",
     type=click.Path(dir_okay=False, writable=True),
@@ -108,8 +127,8 @@ _backend_option = click.option(
 # as one string.
 _INT_CHUNK = 4096
 
-# A ``_Templated`` array, scan rows or resonance witnesses of a few hundred
-# bytes each, is written this many items per chunk, with one ``%`` per chunk
+# A ``Resonances`` or ``ScanRows`` array, of resonance witnesses or scan rows
+# of a few hundred bytes each, is written this many items per chunk, with one ``%`` per chunk
 # of rows and per stretch of a chunk's witnesses of one pair.  A ``%`` over
 # a longer batch grows the heap: at 256 items, rendering the 32,865 rows of
 # ``scan --n 3 --max 70`` raised peak RSS by 2 MB after one pass and 5 MB
@@ -254,27 +273,14 @@ def _template(value, indent: bytes) -> bytes:
     return template
 
 
-class _Templated:
-    """A result array whose items are rendered in pieces.
-
-    ``render(items, indent)`` yields the JSON of the items at that indent in
-    nonempty pieces, each joined as ``_json_chunks`` joins an array's items.
-    """
-
-    __slots__ = ("items", "render")
-
-    def __init__(self, items, render: Callable[[object, bytes], Iterable[bytes]]) -> None:
-        self.items = items
-        self.render = render
-
-
 def _json_chunks(value, indent: bytes = b"\n") -> Iterator[bytes]:
     """``json.dumps(value, sort_keys=True, indent=2)``, encoded, in chunks.
 
     With ``indent`` set, CPython's json falls back to its pure-Python
     encoder, which makes several generator calls per value.  This writer
-    writes a dict key by key, a ``_Templated`` array in its render's pieces
-    and an integer array, flat or an ``IntRuns``, in the pieces of
+    writes a dict key by key, a ``Resonances`` in the pieces of
+    ``_witness_pieces``, a ``ScanRows`` in those of ``_scan_rows_json`` and
+    an integer array, flat or an ``IntRuns``, in the pieces of
     ``_int_text``, and leaves only floats to ``json.dumps``.  Strings are
     escaped to ASCII, as ``json.dumps`` escapes them, so every chunk is
     ASCII.
@@ -290,21 +296,24 @@ def _json_chunks(value, indent: bytes = b"\n") -> Iterator[bytes]:
             yield from _json_chunks(value[key], inner)
             sep = b"," + inner
         yield indent + b"}"
-    elif type(value) is _Templated:
-        head = b"[" + inner
-        for piece in value.render(value.items, inner):
-            yield head
-            yield piece
-            head = b"," + inner
-        yield b"[]" if head.startswith(b"[") else indent + b"]"
-    elif isinstance(value, (list, tuple, IntRuns)):
+    elif isinstance(value, (list, tuple, IntRuns, Resonances, ScanRows)):
         if not value:
             yield b"[]"
             return
         sep = b"," + inner
         head = b"[" + inner
+        if type(value) is Resonances or type(value) is ScanRows:
+            # Nonempty pieces, of at most _ITEM_CHUNK items each.
+            if type(value) is Resonances:
+                pieces = _witness_pieces(value.arrays, inner)
+            else:
+                pieces = _scan_rows_json(value.stretches, inner)
+            for piece in pieces:
+                yield head
+                yield piece
+                head = sep
         # type() rather than isinstance: bools render as true and false.
-        if type(value) is IntRuns or {*map(type, value)} == {int}:
+        elif type(value) is IntRuns or {*map(type, value)} == {int}:
             yield head
             yield from _int_text(value, sep)
         else:
@@ -325,34 +334,6 @@ def _json_chunks(value, indent: bytes = b"\n") -> Iterator[bytes]:
         yield b"false"
     else:
         yield json.dumps(value).encode()
-
-
-def _json_document(envelope: dict) -> Iterator[bytes]:
-    yield from _json_chunks(envelope)
-    yield b"\n"
-
-
-def _finish(
-    command: str,
-    input_echo: dict,
-    result: dict,
-    backend: str | None,
-    fmt: str,
-    out: str | None,
-    started: float,
-    text_lines: Callable[[], Iterable[str | bytes | Iterator[bytes]]],
-) -> None:
-    if fmt == "json":
-        envelope = {
-            "command": command,
-            "input": input_echo,
-            "backend": backend,
-            "result": result,
-            "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-        }
-        _write(_json_document(envelope), out)
-    else:
-        _write(_text_chunks(text_lines()), out)
 
 
 def _text_chunks(lines: Iterable[str | bytes | Iterator[bytes]]) -> Iterator[bytes]:
@@ -410,41 +391,76 @@ def cli() -> None:
     """Exact analyzer for quasi-circular domain weights."""
 
 
-@cli.command()
+class _Answer(NamedTuple):
+    """A command body's answer, which ``_command``'s runner writes."""
+
+    result: dict
+    text: Callable[[], Iterable[str | bytes | Iterator[bytes]]]
+    backend: str | None
+    code: int = 0
+    mismatch: str | None = None
+    csv: Callable[[], Iterator[bytes]] | None = None
+
+
+def _command(name: str, format_option=_format_option):
+    """Register the decorated body, which takes its own click parameters
+    and returns an ``_Answer``, as the command ``name`` run by the runner
+    that the module docstring describes."""
+
+    def register(body: Callable[..., _Answer]) -> click.Command:
+        # The command-line name of each of the body's parameters.
+        names = {param.name: param.opts[0].lstrip("-") for param in body.__click_params__}
+
+        def run(fmt: str, out: str | None, **params) -> None:
+            started = time.perf_counter()
+            answer = body(**params)
+            if fmt == "json":
+                echo = {names[k]: list(v) if type(v) is tuple else v for k, v in params.items()}
+                envelope = {
+                    "command": name,
+                    "input": echo,
+                    "backend": answer.backend,
+                    "result": answer.result,
+                    "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+                }
+                chunks = chain(_json_chunks(envelope), (b"\n",))
+            elif fmt == "csv":
+                chunks = answer.csv()
+            else:
+                chunks = _text_chunks(answer.text())
+            _write(chunks, out)
+            if answer.mismatch is not None:
+                click.echo(answer.mismatch, err=True)
+            if answer.code:
+                click.get_current_context().exit(answer.code)
+
+        # click lists the parameters in the reverse of the order in which
+        # they are added: --format and --out come after the body's own.
+        run = format_option(_out_option(run))
+        run.__click_params__ += body.__click_params__
+        return cli.command(name, help=body.__doc__)(run)
+
+    return register
+
+
+@_command("classify")
 @click.argument("weights", nargs=-1, type=int, required=True)
-@_format_option
-@_out_option
-@click.pass_context
-def classify(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: str | None) -> None:
+def classify(weights: tuple[int, ...]) -> _Answer:
     """Decide class membership and report the window witness chain.
 
     Exits 3 when the weight is not in the class (a valid negative answer).
     """
-    started = time.perf_counter()
     verdict = core.is_in_class(core.validate_weight(weights))
-    _finish(
-        "classify",
-        {"weights": list(weights)},
-        _verdict_result(verdict),
-        "apery",
-        fmt,
-        out,
-        started,
-        lambda: _verdict_text(verdict),
-    )
-    if not verdict.in_class:
-        ctx.exit(3)
+    text = functools.partial(_verdict_text, verdict)
+    return _Answer(_verdict_result(verdict), text, "apery", 0 if verdict.in_class else 3)
 
 
-@cli.command()
+@_command("iset")
 @click.argument("prefix", nargs=-1, type=int, required=True)
-@click.option("--M", "window", type=int, required=True, help="Window index, >= 1.")
+@_window_option
 @_backend_option
-@_format_option
-@_out_option
-def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str | None) -> None:
+def iset(prefix: tuple[int, ...], window: int, backend: str) -> _Answer:
     """Compute the obstruction set of one window over a prefix."""
-    started = time.perf_counter()
     result_set = core.obstruction_set(prefix, window, backend)
 
     def text() -> list[str | Iterator[bytes]]:
@@ -456,16 +472,7 @@ def iset(prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str 
             f"size: {result_set.size}",
         ]
 
-    _finish(
-        "iset",
-        {"prefix": list(prefix), "M": window, "backend": backend},
-        _iset_result(result_set),
-        backend,
-        fmt,
-        out,
-        started,
-        text,
-    )
+    return _Answer(_iset_result(result_set), text, backend)
 
 
 @functools.cache
@@ -495,47 +502,32 @@ def _witness_pieces(arrays, indent: bytes | None = None) -> Iterator[bytes]:
             yield template % tuple(ks)
 
 
-@cli.command("resonances")
+@_command("resonances")
 @click.argument("weights", nargs=-1, type=int, required=True)
-@_format_option
-@_out_option
-@click.pass_context
-def resonances_cmd(ctx: click.Context, weights: tuple[int, ...], fmt: str, out: str | None) -> None:
+def resonances_cmd(weights: tuple[int, ...]) -> _Answer:
     """List all resonance witnesses of a weight.
 
     Exits 0 with an empty list when the weight is resonance-free, 3 when
     witnesses exist.
     """
-    started = time.perf_counter()
     witnesses = core.resonances(core.validate_weight(weights))
     count = len(witnesses)
-    result = {
-        "weight": list(weights),
-        "count": count,
-        "witnesses": _Templated(witnesses.arrays, _witness_pieces),
-    }
+    result = {"weight": list(weights), "count": count, "witnesses": witnesses}
 
     def text() -> Iterator[str | bytes]:
         yield f"weight: {' '.join(str(x) for x in weights)}"
         yield f"count: {count}"
         yield from _witness_pieces(witnesses.arrays)
 
-    _finish("resonances", {"weights": list(weights)}, result, None, fmt, out, started, text)
-    if count:
-        ctx.exit(3)
+    return _Answer(result, text, None, 3 if count else 0)
 
 
-@cli.command("enumerate")
+@_command("enumerate")
 @click.argument("prefix", nargs=-1, type=int, required=True)
-@click.option("--M", "window", type=int, required=True, help="Window index, >= 1.")
+@_window_option
 @_backend_option
-@_format_option
-@_out_option
-def enumerate_cmd(
-    prefix: tuple[int, ...], window: int, backend: str, fmt: str, out: str | None
-) -> None:
+def enumerate_cmd(prefix: tuple[int, ...], window: int, backend: str) -> _Answer:
     """Enumerate the admissible next weights of one window over a prefix."""
-    started = time.perf_counter()
     admissible = core.enumerate_admissible(prefix, window, backend)
     lo, hi = window_interval(sum(prefix), window)
     result = {
@@ -555,31 +547,18 @@ def enumerate_cmd(
             f"count: {len(admissible)}",
         ]
 
-    _finish(
-        "enumerate",
-        {"prefix": list(prefix), "M": window, "backend": backend},
-        result,
-        backend,
-        fmt,
-        out,
-        started,
-        text,
-    )
+    return _Answer(result, text, backend)
 
 
-@cli.command()
+@_command("count")
 @click.argument("m1", type=int)
 @click.argument("m2", type=int)
-@_format_option
-@_out_option
-@click.pass_context
-def count(ctx: click.Context, m1: int, m2: int, fmt: str, out: str | None) -> None:
+def count(m1: int, m2: int) -> _Answer:
     """Report the window-2 gap census with the closed-form count when proven.
 
     Exits 2 if the closed form disagrees with enumeration; that exit must be
     unreachable.
     """
-    started = time.perf_counter()
     report = counting.closed_form_count(m1, m2)
     result = {
         "m1": report.m1,
@@ -604,10 +583,10 @@ def count(ctx: click.Context, m1: int, m2: int, fmt: str, out: str | None) -> No
             f"matches: {_fmt_bool(report.matches)}",
         ]
 
-    _finish("count", {"m1": m1, "m2": m2}, result, "sieve", fmt, out, started, text)
-    if not report.matches:
-        click.echo("internal mismatch: closed form disagrees with enumeration", err=True)
-        ctx.exit(2)
+    if report.matches:
+        return _Answer(result, text, "sieve")
+    mismatch = "internal mismatch: closed form disagrees with enumeration"
+    return _Answer(result, text, "sieve", 2, mismatch)
 
 
 def _d_table_lines(m1: int, rows) -> list[str]:
@@ -625,13 +604,10 @@ def _f_table_lines(rows) -> list[str]:
     return lines
 
 
-@cli.command()
+@_command("table")
 @click.argument("name", type=click.Choice(["d-table", "f-table"]))
-@_format_option
-@_out_option
-def table(name: str, fmt: str, out: str | None) -> None:
+def table(name: str) -> _Answer:
     """Reproduce a reference table (gap counts and gap sets)."""
-    started = time.perf_counter()
     if name == "d-table":
         rows = counting.table_d(counting.TABLE_D_M1, counting.TABLE_D_M2)
         result = {
@@ -643,7 +619,7 @@ def table(name: str, fmt: str, out: str | None) -> None:
         rows = counting.table_f(counting.TABLE_F_M2)
         result = {"rows": [{"m2": m2, "f": f} for m2, f in rows]}
         text = functools.partial(_f_table_lines, rows)
-    _finish("table", {"name": name}, result, "sieve", fmt, out, started, text)
+    return _Answer(result, text, "sieve")
 
 
 # Filter name -> (in_class_only, resonance_free_only) for core.scan; the
@@ -777,7 +753,7 @@ def _scan_csv(rows: ScanRows) -> Iterator[bytes]:
     yield from _row_pieces(rows.stretches, functools.partial(_scan_csv_line, writer), b"", False)
 
 
-@cli.command()
+@_command("scan", _scan_format_option)
 @click.option("--n", "arity", type=int, required=True, help="Weight length, >= 2.")
 @click.option("--max", "max_weight", type=int, required=True, help="Largest entry to scan.")
 @click.option(
@@ -787,17 +763,7 @@ def _scan_csv(rows: ScanRows) -> Iterator[bytes]:
     default="in-class",
     help="Which weights become rows.",
 )
-@_scan_format_option
-@_out_option
-@click.pass_context
-def scan(
-    ctx: click.Context,
-    arity: int,
-    max_weight: int,
-    row_filter: str,
-    fmt: str,
-    out: str | None,
-) -> None:
+def scan(arity: int, max_weight: int, row_filter: str) -> _Answer:
     """Scan all valid weights of one length up to a bound.
 
     Weights are enumerated in lexicographic order; tuples that fail
@@ -805,7 +771,6 @@ def scan(
     in-class weights with resonances and must produce zero rows; any row
     makes the scan exit 2.
     """
-    started = time.perf_counter()
     in_class_only, resonance_free_only = _SCAN_FILTERS[row_filter]
     rows = core.scan(
         arity, max_weight, in_class_only=in_class_only, resonance_free_only=resonance_free_only
@@ -816,17 +781,12 @@ def scan(
             for *shared, ms, counts in rows.stretches
             if any(counts)
         )
-    input_echo = {"n": arity, "max": max_weight, "filter": row_filter}
-    if fmt == "csv":
-        _write(_scan_csv(rows), out)
-    else:
-        result = {"rows": _Templated(rows.stretches, _scan_rows_json), "count": len(rows)}
-        _finish("scan", input_echo, result, "apery", fmt, out, started, lambda: _scan_text(rows))
+    result = {"rows": rows, "count": len(rows)}
+    text, csv_lines = functools.partial(_scan_text, rows), functools.partial(_scan_csv, rows)
     if row_filter == "disagree" and rows:
-        click.echo(
-            f"internal mismatch: {len(rows)} in-class weights have resonances", err=True
-        )
-        ctx.exit(2)
+        mismatch = f"internal mismatch: {len(rows)} in-class weights have resonances"
+        return _Answer(result, text, "apery", 2, mismatch, csv_lines)
+    return _Answer(result, text, "apery", csv=csv_lines)
 
 
 def main(argv: list[str] | None = None) -> int:

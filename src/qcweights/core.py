@@ -109,19 +109,8 @@ def _check_multi_index(k, length: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; exact for any nonnegative input."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Deterministic trial division; exact for any integer."""
+    return n > 1 and _least_factor(n) == n
 
 
 def r_value(prefix, i: int, k) -> int:
@@ -483,17 +472,25 @@ _ROW_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, _HIT)))
 _RUNS = rb"\x01+|\x02+|\x03+"
 
 
-def _prime_factors(n: int) -> list[int]:
-    # The distinct primes that divide n >= 1, by trial division.
-    primes, p = [], 2
+def _least_factor(n: int, p: int = 2) -> int:
+    # The least divisor above 1 of n >= 2, by trial division by 2 and the
+    # odd numbers from p on; p is 2 or odd, and no divisor lies below it.
     while p * p <= n:
         if n % p == 0:
-            primes.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        primes.append(n)
+            return p
+        p += 1 if p == 2 else 2
+    return n
+
+
+def _prime_factors(n: int) -> list[int]:
+    # The distinct primes that divide n >= 1, ascending.  Each search goes
+    # on from the last prime, which no longer divides n.
+    primes, p = [], 2
+    while n > 1:
+        p = _least_factor(n, p)
+        primes.append(p)
+        while n % p == 0:
+            n //= p
     return primes
 
 

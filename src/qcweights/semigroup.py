@@ -267,37 +267,39 @@ class Semigroup:
     def window(self, M: int) -> ObstructionSet:
         """The obstruction set of window M over the generators.
 
-        The pass extends one list with each progression's tail inside the
-        window, sorts it once and, in window 1, drops the minimal
-        generators: O(m_1 + output) time and memory, m_1 being the smallest
-        generator, or O(min(m_1, M) + output) for one or two generators,
-        whose progressions start at the multiples of the largest.
+        The pass of ``_window_pass`` extends one list with each
+        progression's tail inside the window; the list is sorted once and,
+        in window 1, loses the minimal generators: O(m_1 + output) time and
+        memory, m_1 being the smallest generator, or O(min(m_1, M) + output)
+        for one or two generators, whose progressions start at the
+        multiples of the largest.
         """
         M = _check_window(M)
-        lo, hi = window_interval(sum(self.gens), M)
-        step, starts = self._progressions(hi)
-        first_in = lo + 1
         elements: list[int] = []
-        for start in starts:
-            first = start if start >= first_in else first_in + (start - first_in) % step
-            elements.extend(range(first, hi, step))
+        lo, hi, _, minimal = self._window_pass(M, elements)
         elements.sort()
-        if M == 1:
-            minimal = self._minimal()
+        if minimal:
             elements = [t for t in elements if t not in minimal]
         return ObstructionSet(
             prefix=self.gens, window=M, interval=(lo, hi), elements=tuple(elements)
         )
 
     def window_size(self, M: int) -> int:
-        """``len(self.window(M).elements)``, counted without listing it.
+        """``len(self.window(M).elements)``, counted by the same pass
+        without listing it."""
+        return self._window_pass(_check_window(M))[2]
 
-        Each progression has (hi - 1 - first) // step + 1 terms in the
-        window, from its first term ``first`` there, and window 1 loses the
-        minimal generators below its top: the pass of :meth:`window` with
-        no element list.
-        """
-        M = _check_window(M)
+    def _window_pass(
+        self, M: int, elements: list[int] | None = None
+    ) -> tuple[int, int, int, tuple[int, ...]]:
+        # One pass over the progressions' tails inside window M, which
+        # returns its open bounds lo and hi, its size and the minimal
+        # generators inside it, which only window 1 holds and drops (a lone
+        # generator is window 1's top).  A tail runs from its first term
+        # inside the window and has (hi - 1 - first) // step + 1 terms; given
+        # a list, the pass extends it with them.  The count makes no range
+        # per tail: scans call window_size once per table window, and a
+        # range per tail made each call about twice as slow.
         lo, hi = window_interval(sum(self.gens), M)
         step, starts = self._progressions(hi)
         first_in = lo + 1
@@ -305,11 +307,10 @@ class Semigroup:
         for start in starts:
             first = start if start >= first_in else first_in + (start - first_in) % step
             size += (hi - 1 - first) // step + 1
-        if M == 1:
-            # A lone generator is window 1's top, not inside it.
-            minimal = self._minimal()
-            size -= len(minimal) - (hi in minimal)
-        return size
+            if elements is not None:
+                elements.extend(range(first, hi, step))
+        minimal = tuple(g for g in self._minimal() if g < hi) if M == 1 else ()
+        return lo, hi, size - len(minimal), minimal
 
     def _minimal(self) -> tuple[int, ...]:
         # The generators that are not a sum of two nonzero elements: g is

@@ -18,9 +18,7 @@ from qcweights import cli as cli_module
 from qcweights import core, counting
 from qcweights.cli import (
     _json_chunks,
-    _scan_rows_json,
     _set_line,
-    _Templated,
     _witness_pieces,
     main,
 )
@@ -557,6 +555,63 @@ class TestOutputPlumbing:
         assert proc.returncode == 3
 
 
+_COMMANDS = ("classify", "iset", "resonances", "enumerate", "count", "table", "scan")
+
+
+class TestCommandRunner:
+    # Every command runs through one runner: click writes the help and usage
+    # bytes, and the runner echoes the parameters, writes the format and
+    # exits with the answer's code.
+
+    @pytest.mark.parametrize("command", [None, *_COMMANDS])
+    def test_help_matches_golden(self, capsys, monkeypatch, command):
+        # click wraps help text to the terminal width, which COLUMNS sets.
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = ["--help"] if command is None else [command, "--help"]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "")
+        golden = "help.txt" if command is None else f"help_{command}.txt"
+        assert out == (GOLDEN / golden).read_text()
+
+    @pytest.mark.parametrize(
+        "argv, echo, backend",
+        [
+            (["classify", "3", "5", "7"], {"weights": [3, 5, 7]}, "apery"),
+            (["iset", "3", "7", "--M", "2"], {"prefix": [3, 7], "M": 2, "backend": "sieve"}, "sieve"),
+            (["resonances", "1", "2", "3"], {"weights": [1, 2, 3]}, None),
+            (
+                ["enumerate", "5", "7", "--backend", "brute", "--M", "2"],
+                {"prefix": [5, 7], "M": 2, "backend": "brute"},
+                "brute",
+            ),
+            (["count", "5", "11"], {"m1": 5, "m2": 11}, "sieve"),
+            (["table", "f-table"], {"name": "f-table"}, "sieve"),
+            (["scan", "--max", "9", "--n", "3"], {"n": 3, "max": 9, "filter": "in-class"}, "apery"),
+        ],
+        ids=_COMMANDS,
+    )
+    def test_input_echoes_parameters_by_command_line_name(self, capsys, argv, echo, backend):
+        # Defaults the user did not type are echoed too.
+        _, out, _ = run_cli([*argv, "--format", "json"], capsys)
+        envelope = parse_json(out)
+        assert envelope["command"] == argv[0]
+        assert envelope["input"] == echo
+        assert envelope["backend"] == backend
+
+    @pytest.mark.parametrize(
+        "argv, golden, expected_code",
+        [
+            (["scan", "--n", "3", "--max", "12", "--format", "csv"], "scan_csv.txt", 0),
+            (["classify", "3", "5", "9"], "classify_text.txt", 3),
+        ],
+        ids=["scan-csv", "classify-text"],
+    )
+    def test_csv_and_negative_answer_match_goldens(self, capsys, argv, golden, expected_code):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (expected_code, "")
+        assert out == (GOLDEN / golden).read_text()
+
+
 class TestNoNumpyAtRuntime:
     # numpy runs only the sieve oracle of the tests; no command needs it.
 
@@ -955,7 +1010,7 @@ class TestJsonWriter:
             (2, 3, []),
             (2, 4, list(range(3 * (length % 5)))),
         ]
-        tree = {"a": _Templated(arrays, _witness_pieces), "b": [True]}
+        tree = {"a": Resonances(arrays), "b": [True]}
         expected = {"a": _witness_dicts(arrays), "b": [True]}
         dumped = json.dumps(expected, sort_keys=True, indent=2)
         assert b"".join(_json_chunks(tree)) == dumped.encode()
@@ -1032,9 +1087,9 @@ def _stretches(rows) -> list[tuple]:
     return stretches
 
 
-def _streamed(key, items, render) -> str:
+def _streamed(key, items) -> str:
     # The array sits where the envelope puts it: result -> key -> items.
-    return b"".join(_json_chunks({"result": {key: _Templated(items, render)}})).decode("ascii")
+    return b"".join(_json_chunks({"result": {key: items}})).decode("ascii")
 
 
 def _dumped(key, items) -> str:
@@ -1046,13 +1101,13 @@ class TestRowTemplates:
     @given(st.lists(_scan_rows, max_size=4))
     def test_scan_rows_match_json_dumps(self, rows):
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
-        assert _streamed("rows", _stretches(rows), _scan_rows_json) == expected
+        assert _streamed("rows", ScanRows(_stretches(rows))) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(_witness_arrays())
     def test_witnesses_match_json_dumps(self, arrays):
         expected = _dumped("witnesses", _witness_dicts(arrays))
-        assert _streamed("witnesses", arrays, _witness_pieces) == expected
+        assert _streamed("witnesses", Resonances(arrays)) == expected
 
     @pytest.mark.parametrize("reason", [None, *FAILURE_REASONS])
     def test_every_failure_reason(self, reason):
@@ -1062,13 +1117,13 @@ class TestRowTemplates:
             ScanRow((3, 7), (1,), None, 2**70, ()),
         ]
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
-        assert _streamed("rows", _stretches(rows), _scan_rows_json) == expected
+        assert _streamed("rows", ScanRows(_stretches(rows))) == expected
 
     @pytest.mark.parametrize("k_len", range(1, 7))
     def test_every_witness_length(self, k_len):
         arrays = [(1, k_len + 1, list(range(2**63, 2**63 + k_len)))]
         expected = _dumped("witnesses", [{"i": 1, "j": k_len + 1, "k": arrays[0][2]}])
-        assert _streamed("witnesses", arrays, _witness_pieces) == expected
+        assert _streamed("witnesses", Resonances(arrays)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -1079,7 +1134,7 @@ class TestRowTemplates:
     def test_witness_batches_match_json_dumps(self, arrays):
         # Pairs of up to 140 witnesses, so pieces end inside and at a pair.
         expected = _dumped("witnesses", _witness_dicts(arrays))
-        assert _streamed("witnesses", arrays, _witness_pieces) == expected
+        assert _streamed("witnesses", Resonances(arrays)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(_witness_arrays(max_witnesses=140))
@@ -1095,7 +1150,7 @@ class TestRowTemplates:
         # Rows drawn from a small pool, so consecutive rows share templates.
         rows = data.draw(st.lists(st.sampled_from(pool), max_size=30))
         expected = _dumped("rows", [_scan_row_dict(row) for row in rows])
-        assert _streamed("rows", _stretches(rows), _scan_rows_json) == expected
+        assert _streamed("rows", ScanRows(_stretches(rows))) == expected
 
 
 # Per stretch, in turn: its witnesses, failure and window sizes.  One failure

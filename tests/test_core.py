@@ -974,6 +974,29 @@ class TestEnumerateAdmissible:
             core.enumerate_admissible((3, 5, 9), 1)
 
 
+class TestPrimes:
+    # One trial division answers both is_prime and _prime_factors.
+
+    def test_is_prime_matches_naive_oracle(self):
+        def naive(n):
+            return n > 1 and all(n % d for d in range(2, n))
+
+        for n in range(-5, 10**4 + 1):
+            assert core.is_prime(n) is naive(n), n
+
+    @pytest.mark.parametrize(
+        "n, prime",
+        [(10**12 + 39, True), (2**31 - 1, True), (999983 * 1000003, False), (2 * (10**12 + 39), False)],
+    )
+    def test_is_prime_of_large_integers(self, n, prime):
+        assert core.is_prime(n) is prime
+
+    def test_prime_factors_match_naive_oracle(self):
+        for n in range(1, 2000):
+            primes = [p for p in range(2, n + 1) if n % p == 0 and core.is_prime(p)]
+            assert core._prime_factors(n) == primes, n
+
+
 class TestN3Criteria:
     @pytest.mark.parametrize(
         "weight, expected",
