@@ -127,12 +127,12 @@ _backend_option = click.option(
 # as one string.
 _INT_CHUNK = 4096
 
-# A ``Resonances`` or ``ScanRows`` array, of resonance witnesses or scan rows
-# of a few hundred bytes each, is written this many items per chunk, with one ``%`` per chunk
-# of rows and per stretch of a chunk's witnesses of one pair.  A ``%`` over
-# a longer batch grows the heap: at 256 items, rendering the 32,865 rows of
-# ``scan --n 3 --max 70`` raised peak RSS by 2 MB after one pass and 5 MB
-# after nine; at 64, by nothing.
+# A ``Resonances`` or ``ScanRows`` array, of resonance witnesses or scan
+# rows of a few hundred bytes each, is written this many items per chunk,
+# with one ``%`` per chunk of rows and per stretch of a chunk's witnesses of
+# one pair.  A ``%`` over a longer batch grows the heap: at 256 items,
+# rendering the 32,865 rows of ``scan --n 3 --max 70`` raised peak RSS by
+# 2 MB after one pass and 5 MB after nine; at 64, by nothing.
 _ITEM_CHUNK = 64
 
 # The last three digits of the integers of an aligned block of 1,000, as

@@ -577,7 +577,11 @@ class TestCommandRunner:
         "argv, echo, backend",
         [
             (["classify", "3", "5", "7"], {"weights": [3, 5, 7]}, "apery"),
-            (["iset", "3", "7", "--M", "2"], {"prefix": [3, 7], "M": 2, "backend": "sieve"}, "sieve"),
+            (
+                ["iset", "3", "7", "--M", "2"],
+                {"prefix": [3, 7], "M": 2, "backend": "sieve"},
+                "sieve",
+            ),
             (["resonances", "1", "2", "3"], {"weights": [1, 2, 3]}, None),
             (
                 ["enumerate", "5", "7", "--backend", "brute", "--M", "2"],
@@ -586,7 +590,11 @@ class TestCommandRunner:
             ),
             (["count", "5", "11"], {"m1": 5, "m2": 11}, "sieve"),
             (["table", "f-table"], {"name": "f-table"}, "sieve"),
-            (["scan", "--max", "9", "--n", "3"], {"n": 3, "max": 9, "filter": "in-class"}, "apery"),
+            (
+                ["scan", "--max", "9", "--n", "3"],
+                {"n": 3, "max": 9, "filter": "in-class"},
+                "apery",
+            ),
         ],
         ids=_COMMANDS,
     )

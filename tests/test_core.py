@@ -986,7 +986,12 @@ class TestPrimes:
 
     @pytest.mark.parametrize(
         "n, prime",
-        [(10**12 + 39, True), (2**31 - 1, True), (999983 * 1000003, False), (2 * (10**12 + 39), False)],
+        [
+            (10**12 + 39, True),
+            (2**31 - 1, True),
+            (999983 * 1000003, False),
+            (2 * (10**12 + 39), False),
+        ],
     )
     def test_is_prime_of_large_integers(self, n, prime):
         assert core.is_prime(n) is prime
