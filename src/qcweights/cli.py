@@ -66,6 +66,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import os
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain, compress, islice
@@ -76,10 +77,7 @@ import click
 
 from qcweights import core, counting
 from qcweights.model import (
-    ClassFailure,
     IntRuns,
-    MembershipVerdict,
-    ObstructionSet,
     Resonances,
     ScanRows,
     WeightError,
@@ -88,22 +86,28 @@ from qcweights.model import (
 
 FORMAT_ENVVAR = "QCW_FORMAT"
 
-_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json"]),
-    default="text",
-    envvar=FORMAT_ENVVAR,
-    help="Output format (env default: QCW_FORMAT).",
-)
-_scan_format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(["text", "json", "csv"]),
-    default="text",
-    envvar=FORMAT_ENVVAR,
-    help="Output format (env default: QCW_FORMAT).",
-)
+
+def _format_option(*extra: str):
+    """The ``--format`` option of a command, text and json and the ``extra``
+    formats, whose default is ``QCW_FORMAT`` or text.  A command without csv
+    reads csv there as text, so one value of the variable serves every
+    command; any other value is checked against the choices."""
+    choices = ("text", "json", *extra)
+
+    def default() -> str:
+        # An empty variable is unset, as click's own envvar= reads it.
+        value = os.environ.get(FORMAT_ENVVAR) or "text"
+        return "text" if value == "csv" and "csv" not in choices else value
+
+    return click.option(
+        "--format",
+        "fmt",
+        type=click.Choice(choices),
+        default=default,
+        help="Output format (env default: QCW_FORMAT).",
+    )
+
+
 _window_option = click.option(
     "--M", "window", type=int, required=True, help="Window index, >= 1."
 )
@@ -350,42 +354,6 @@ def _text_chunks(lines: Iterable[str | bytes | Iterator[bytes]]) -> Iterator[byt
             yield b"\n"
 
 
-def _failure_result(failure: ClassFailure | None) -> dict | None:
-    if failure is None:
-        return None
-    return {"reason": failure.reason, "level": failure.level}
-
-
-def _verdict_result(verdict: MembershipVerdict) -> dict:
-    return {
-        "weight": list(verdict.weight.m),
-        "in_class": verdict.in_class,
-        "witnesses": list(verdict.witnesses),
-        "failure": _failure_result(verdict.failure),
-    }
-
-
-def _verdict_text(verdict: MembershipVerdict) -> list[str]:
-    lines = [
-        f"weight: {' '.join(str(x) for x in verdict.weight.m)}",
-        f"in_class: {_fmt_bool(verdict.in_class)}",
-        f"witnesses: {_fmt_list(verdict.witnesses)}",
-    ]
-    if verdict.failure is not None:
-        lines.append(f"failure: {verdict.failure.reason} (level {verdict.failure.level})")
-    return lines
-
-
-def _iset_result(iset: ObstructionSet) -> dict:
-    return {
-        "prefix": list(iset.prefix),
-        "M": iset.window,
-        "interval": list(iset.interval),
-        "elements": list(iset.elements),
-        "size": iset.size,
-    }
-
-
 @click.group()
 def cli() -> None:
     """Exact analyzer for quasi-circular domain weights."""
@@ -402,10 +370,11 @@ class _Answer(NamedTuple):
     csv: Callable[[], Iterator[bytes]] | None = None
 
 
-def _command(name: str, format_option=_format_option):
+def _command(name: str, *formats: str):
     """Register the decorated body, which takes its own click parameters
     and returns an ``_Answer``, as the command ``name`` run by the runner
-    that the module docstring describes."""
+    that the module docstring describes; ``formats`` are the ones it offers
+    besides text and json."""
 
     def register(body: Callable[..., _Answer]) -> click.Command:
         # The command-line name of each of the body's parameters.
@@ -436,7 +405,7 @@ def _command(name: str, format_option=_format_option):
 
         # click lists the parameters in the reverse of the order in which
         # they are added: --format and --out come after the body's own.
-        run = format_option(_out_option(run))
+        run = _format_option(*formats)(_out_option(run))
         run.__click_params__ += body.__click_params__
         return cli.command(name, help=body.__doc__)(run)
 
@@ -450,9 +419,26 @@ def classify(weights: tuple[int, ...]) -> _Answer:
 
     Exits 3 when the weight is not in the class (a valid negative answer).
     """
-    verdict = core.is_in_class(core.validate_weight(weights))
-    text = functools.partial(_verdict_text, verdict)
-    return _Answer(_verdict_result(verdict), text, "apery", 0 if verdict.in_class else 3)
+    verdict = core.is_in_class(weights)
+    failure = verdict.failure
+    result = {
+        "weight": list(verdict.weight.m),
+        "in_class": verdict.in_class,
+        "witnesses": list(verdict.witnesses),
+        "failure": None if failure is None else {"reason": failure.reason, "level": failure.level},
+    }
+
+    def text() -> list[str]:
+        lines = [
+            f"weight: {' '.join(str(x) for x in verdict.weight.m)}",
+            f"in_class: {_fmt_bool(verdict.in_class)}",
+            f"witnesses: {_fmt_list(verdict.witnesses)}",
+        ]
+        if failure is not None:
+            lines.append(f"failure: {failure.reason} (level {failure.level})")
+        return lines
+
+    return _Answer(result, text, "apery", 0 if verdict.in_class else 3)
 
 
 @_command("iset")
@@ -462,6 +448,13 @@ def classify(weights: tuple[int, ...]) -> _Answer:
 def iset(prefix: tuple[int, ...], window: int, backend: str) -> _Answer:
     """Compute the obstruction set of one window over a prefix."""
     result_set = core.obstruction_set(prefix, window, backend)
+    result = {
+        "prefix": list(result_set.prefix),
+        "M": result_set.window,
+        "interval": list(result_set.interval),
+        "elements": list(result_set.elements),
+        "size": result_set.size,
+    }
 
     def text() -> list[str | Iterator[bytes]]:
         return [
@@ -472,7 +465,7 @@ def iset(prefix: tuple[int, ...], window: int, backend: str) -> _Answer:
             f"size: {result_set.size}",
         ]
 
-    return _Answer(_iset_result(result_set), text, backend)
+    return _Answer(result, text, backend)
 
 
 @functools.cache
@@ -510,7 +503,7 @@ def resonances_cmd(weights: tuple[int, ...]) -> _Answer:
     Exits 0 with an empty list when the weight is resonance-free, 3 when
     witnesses exist.
     """
-    witnesses = core.resonances(core.validate_weight(weights))
+    witnesses = core.resonances(weights)
     count = len(witnesses)
     result = {"weight": list(weights), "count": count, "witnesses": witnesses}
 
@@ -753,7 +746,7 @@ def _scan_csv(rows: ScanRows) -> Iterator[bytes]:
     yield from _row_pieces(rows.stretches, functools.partial(_scan_csv_line, writer), b"", False)
 
 
-@_command("scan", _scan_format_option)
+@_command("scan", "csv")
 @click.option("--n", "arity", type=int, required=True, help="Weight length, >= 2.")
 @click.option("--max", "max_weight", type=int, required=True, help="Largest entry to scan.")
 @click.option(

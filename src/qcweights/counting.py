@@ -94,10 +94,8 @@ def _select_formula(m1: int, m2: int) -> tuple[str | None, int | None]:
     if core.is_prime(m1) and core.is_prime(m2) and m1 >= 5:
         if 2 * m1 < m2:
             return FORMULA_D, m1 + m2 - 5 - (2 * m2) // m1
-        if 2 * m1 > m2:
-            return FORMULA_D_PRIME, m1 + m2 - 6 - (2 * m2) // m1
-        # 2*m1 = m2 is impossible for an odd prime m2; guarded for totality.
-        return None, None
+        # m2 is a prime above m1 >= 5, so odd, and never 2*m1.
+        return FORMULA_D_PRIME, m1 + m2 - 6 - (2 * m2) // m1
     if m1 == 3 and m2 >= 5 and core.is_prime(m2):
         return FORMULA_F, m2 - 2 - (2 * m2) // 3
     return None, None

@@ -12,12 +12,12 @@ O(m_1 + output) time and memory for any window index, and a window's size
 is counted per class without listing it.
 
 :class:`Semigroup` answers membership and windows for one generator
-tuple.  Membership is a divisibility test for one generator, a closed form
-for two, and the table, or a budgeted search before it, for three or more.
-Its window pass is one for every generator count: the classes of one or two
-generators start at the multiples of the largest, and any other count's
-are read off the table.  :func:`obstruction_set_fast` runs that pass over a
-given table.
+tuple, in two cases.  Membership is a closed form for one or two
+generators, one generator g being the pair (g, g), and the table, or a
+budgeted search before it, for three or more.  Its window pass is one for
+every generator count: the classes of one or two generators start at the
+multiples of the largest, and any other count's are read off the table.
+:func:`obstruction_set_fast` runs that pass over a given table.
 
 The sieve, a forward dynamic program over 0..bound, is kept only as the
 independent oracle the tests compare the Apery engine against; the
@@ -178,15 +178,17 @@ class Semigroup:
     count.  ``table`` is the Apery table and
     ``suffix`` the semigroup of gens[1:]; both are made on first use.
     ``d`` is the generators' gcd.
-    ``contains`` is chosen when the value is made, so each test is one call:
+    ``contains`` is chosen when the value is made, so each test is one call.
+    There are two cases:
 
-    - one generator g: divisibility by g;
-    - two, a < b: with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for
-      k_a in one residue class modulo ``period`` = b/d, the least of which
-      is (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.
+    - one or two generators, a <= b, one generator g being the pair (g, g):
+      with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for k_a in one
+      residue class modulo ``period`` = b/d, the least of which is
+      (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.
       So t is in <a, b> iff d divides t and that least k_a has a*k_a <= t.
-      The pair's ``d``, ``period`` and ``inverse`` are kept for callers
-      that walk the solutions;
+      For one generator, d = g, the period is 1 and the inverse 0, so the
+      test is divisibility by g and t >= 0.  The pair's ``d``, ``period``
+      and ``inverse`` are kept for callers that walk the solutions;
     - three or more: a t that d does not divide is out at once.  Otherwise
       t is in it iff t - k*gens[0] lies in ``suffix`` for some k >= 0, and
       the test searches those k.  The searches share a budget; a search
@@ -210,12 +212,8 @@ class Semigroup:
         gens = self.gens = _check_generators(generators) if parent is None else generators
         self._parent = parent
         state = self._state = _State()
-        if len(gens) == 1:
-            (g,) = gens
-            self.d = g
-            self.contains = lambda t: t >= 0 and t % g == 0
-        elif len(gens) == 2:
-            a, b = gens
+        if len(gens) <= 2:
+            a, b = gens[0], gens[-1]
             d = self.d = math.gcd(a, b)
             period = self.period = b // d
             inverse = self.inverse = pow(a // d, -1, period)
@@ -315,10 +313,13 @@ class Semigroup:
     def _minimal(self) -> tuple[int, ...]:
         # The generators that are not a sum of two nonzero elements: g is
         # minimal unless g - h is an element for a smaller generator h.  For
-        # a pair a < b that is b - a in <a, b>, so a dividing b.
+        # a pair a < b that is b - a in <a, b>, so a dividing b; one
+        # generator is the pair (g, g).  The general rule in place of this
+        # closed form took core.scan(3, 70, in_class_only=True) from 30.4 to
+        # 33.5 ms (process time, best of 9, 2-core host).
         gens = self.gens
-        if len(gens) == 2:
-            a, b = gens
+        if len(gens) <= 2:
+            a, b = gens[0], gens[-1]
             return gens if b % a else (a,)
         contains = self.contains
         return tuple(g for g in gens if not any(contains(g - h) for h in gens if h < g))

@@ -531,6 +531,42 @@ class TestOutputPlumbing:
         _, out, _ = run_cli(["classify", "3", "5", "7"], capsys)
         assert parse_json(out)["result"]["in_class"] is True
 
+    def test_format_env_csv_is_text_without_csv(self, capsys, monkeypatch):
+        # One QCW_FORMAT=csv serves every command: a command that has no
+        # CSV writes its text, with its usual exit code.
+        for argv in (["classify", "3", "7", "11"], ["iset", "3", "5", "--M", "2"]):
+            expected = run_cli(argv, capsys)
+            monkeypatch.setenv("QCW_FORMAT", "csv")
+            assert run_cli(argv, capsys) == expected
+            assert expected[0] == 0
+            monkeypatch.delenv("QCW_FORMAT")
+        monkeypatch.setenv("QCW_FORMAT", "csv")
+        code, out, err = run_cli(["classify", "3", "5", "9"], capsys)
+        assert (code, err) == (3, "")
+        assert out == (GOLDEN / "classify_text.txt").read_text()
+
+    def test_format_env_csv_on_scan(self, capsys, monkeypatch):
+        monkeypatch.setenv("QCW_FORMAT", "csv")
+        code, out, err = run_cli(["scan", "--n", "3", "--max", "12"], capsys)
+        assert (code, err) == (0, "")
+        assert out == (GOLDEN / "scan_csv.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "argv, choices",
+        [
+            (["classify", "3", "7", "11"], "'text', 'json'"),
+            (["scan", "--n", "3", "--max", "12"], "'text', 'json', 'csv'"),
+        ],
+        ids=["classify", "scan"],
+    )
+    def test_format_env_unknown_is_a_usage_error(self, capsys, monkeypatch, argv, choices):
+        monkeypatch.setenv("QCW_FORMAT", "xml")
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith(
+            f"Error: Invalid value for '--format': 'xml' is not one of {choices}.\n"
+        )
+
     def test_json_keys_sorted(self, capsys):
         _, out, _ = run_cli(["count", "5", "11", "--format", "json"], capsys)
         envelope = parse_json(out)

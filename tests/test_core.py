@@ -24,6 +24,7 @@ from qcweights.model import (
     ScanRow,
     ScanRows,
     WeightError,
+    WeightTuple,
 )
 
 from oracles import (
@@ -167,6 +168,35 @@ class TestValidateWeight:
     def test_rejects_non_integers(self):
         with pytest.raises(WeightError, match="integers"):
             core.validate_weight((1.5, 2))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: core.is_in_class(WeightTuple((4, 6))),
+            lambda: core.resonances(WeightTuple((4, 6))),
+            lambda: core.c_exponent(WeightTuple((4, 6)), 1, 2, (0, 0)),
+            lambda: core.zero_set_equivalence_check(WeightTuple((4, 6)), 2),
+            lambda: core.check_n3_criteria(WeightTuple((4, 6, 8))),
+        ],
+        ids=["is_in_class", "resonances", "c_exponent", "zero_set", "check_n3_criteria"],
+    )
+    def test_hand_built_tuple_is_validated(self, call):
+        # A WeightTuple made without validate_weight is checked like any
+        # other tuple, not trusted.
+        with pytest.raises(WeightError, match="gcd of weight entries must be 1, got 2"):
+            call()
+
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((5, 3), "weight entries must be strictly increasing"),
+            ((0, 1), "weight entries must be positive"),
+            ((3,), "a weight needs at least 2 entries, got 1"),
+        ],
+    )
+    def test_hand_built_tuple_entries_are_checked(self, entries, message):
+        with pytest.raises(WeightError, match=message):
+            core.is_in_class(WeightTuple(entries))
 
 
 class TestRValue:
@@ -1086,6 +1116,22 @@ class TestScan:
         )
         assert rows == expected
         assert all(type(row) is ScanRow for row in rows)
+
+    def test_unfiltered_windows_split_into_maximal_runs(self):
+        # With no filter, a window's rows are one stretch per maximal run of
+        # one (witnesses, failure, sizes): adjacent stretches of one window
+        # never share them, and the split makes no more stretches than that.
+        rows = core.scan(3, 40)
+        stretches = rows.stretches
+        assert (len(stretches), len(rows)) == (2760, 8410)
+
+        def window(stretch):
+            entries, ms = stretch[0], stretch[4]
+            return entries, ms[0] // sum(entries)
+
+        for before, after in zip(stretches, stretches[1:]):
+            if window(before) == window(after):
+                assert before[1:4] != after[1:4]
 
     def test_peak_follows_the_stretches(self):
         # Rows are held as per-window stretches of m and count, with the

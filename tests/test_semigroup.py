@@ -157,6 +157,41 @@ pairs = st.builds(
 )
 
 
+class TestOneGenerator:
+    """One generator g is the pair (g, g): d = g, period 1 and inverse 0, so
+    the pair's closed form answers it, against the sieve oracle."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(st.integers(1, 40), st.lists(st.integers(-(10**30), 10**30), max_size=20))
+    @example(1, [-1, 0, 1])
+    @example(7, [-14, -7, -1, 0, 7, 13, 14])
+    def test_contains_is_divisibility(self, g, targets):
+        contains = semigroup.Semigroup((g,)).contains
+        for t in [*targets, *range(-3 * g, 3 * g + 1)]:
+            assert contains(t) == (t >= 0 and t % g == 0), (g, t)
+
+    @pytest.mark.parametrize("g", [1, 2, 7, 10**12 + 39])
+    def test_walks_as_the_pair(self, g):
+        # The fields that _sum_solver reads off a pair.
+        group = semigroup.Semigroup((g,))
+        assert (group.d, group.period, group.inverse) == (g, 1, 0)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 20), st.integers(1, 5), st.integers(0, 80))
+    @example(1, 1, 0)
+    @example(5, 1, 7)
+    @example(3, 2, 30)
+    def test_window_mask_and_table_match_sieve(self, g, window, stop):
+        group = semigroup.Semigroup((g,))
+        got = group.window(window)
+        assert got == sieve_window((g,), window)
+        assert group.window_size(window) == len(got.elements)
+        sieve = semigroup.build_sieve((g,), stop)
+        expected = bytearray(sieve_contains(sieve, t) for t in range(stop))
+        assert group.member_mask(stop) == expected
+        assert group.table == semigroup.AperyTable((g,), g, sieve_least((g,)))
+
+
 def sieve_member(least, modulus, t):
     """Membership read off the sieve's least value per class modulo m_1."""
     if t < 0:
