@@ -362,12 +362,10 @@ def _sum_solver(
         # without a bound it is t, which no solution's sum(k) exceeds.
         def descend(q: int, t: int, head: tuple[int, ...], room: int) -> None:
             if q < pair - 1:
-                # ``contains`` is read per test, as a suffix swaps it for a
-                # table lookup once its search budget is spent.
-                g, inside = gens[q], suffixes[q + 1]
+                g, inside = gens[q], suffixes[q + 1].contains
                 for k in range(min(t // g, room) + 1):
                     rest = t - k * g
-                    if inside.contains(rest):
+                    if inside(rest):
                         descend(q + 1, rest, (*head, k), room - k)
                 return
             # The pair's predecessor: k runs down the rest, and the pair's

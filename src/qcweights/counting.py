@@ -148,5 +148,5 @@ def table_f(m2_list) -> list[tuple[int, int]]:
         m2 = operator.index(m2)
         if m2 < 5 or not core.is_prime(m2):
             raise WeightError(f"f(m2) needs a prime m2 >= 5, got {m2}")
-        rows.append((m2, m2 - 2 - (2 * m2) // 3))
+        rows.append((m2, _select_formula(3, m2)[1]))
     return rows

@@ -12,7 +12,7 @@ O(m_1 + output) time and memory for any window index, and a window's size
 is counted per class without listing it.
 
 :class:`Semigroup` answers membership and windows for one generator
-tuple, in two cases.  Membership is a closed form for one or two
+tuple, as one of two classes.  Membership is a closed form for one or two
 generators, one generator g being the pair (g, g), and the table, or a
 budgeted search before it, for three or more.  Its window pass is one for
 every generator count: the classes of one or two generators start at the
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -154,18 +154,6 @@ def _check_window(M: int) -> int:
     return M
 
 
-class _State:
-    """What a ``Semigroup`` shares with its ``contains``: the Apery table and
-    the suffix, each made on first use, and the search budget left."""
-
-    __slots__ = ("table", "suffix", "budget")
-
-    def __init__(self) -> None:
-        self.table: AperyTable | None = None
-        self.suffix: Semigroup | None = None
-        self.budget = 0
-
-
 class Semigroup:
     """The numerical semigroup of a generator tuple.
 
@@ -175,58 +163,28 @@ class Semigroup:
     size and ``member_mask(stop)`` the membership of 0, ..., stop - 1 as a
     ``bytearray``; all three read the semigroup as the arithmetic
     progressions of ``_progressions``, with one body for every generator
-    count.  ``table`` is the Apery table and
-    ``suffix`` the semigroup of gens[1:]; both are made on first use.
-    ``d`` is the generators' gcd.
-    ``contains`` is chosen when the value is made, so each test is one call.
-    There are two cases:
+    count.  ``table`` is the Apery table and ``suffix`` the semigroup of
+    gens[1:]; both are made on first use.  ``d`` is the generators' gcd.
 
-    - one or two generators, a <= b, one generator g being the pair (g, g):
-      with d = gcd(a, b), a*k_a + b*k_b = t holds exactly for k_a in one
-      residue class modulo ``period`` = b/d, the least of which is
-      (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.
-      So t is in <a, b> iff d divides t and that least k_a has a*k_a <= t.
-      For one generator, d = g, the period is 1 and the inverse 0, so the
-      test is divisibility by g and t >= 0.  The pair's ``d``, ``period``
-      and ``inverse`` are kept for callers that walk the solutions;
-    - three or more: a t that d does not divide is out at once.  Otherwise
-      t is in it iff t - k*gens[0] lies in ``suffix`` for some k >= 0, and
-      the test searches those k.  The searches share a budget; a search
-      that would overrun it builds the table instead, and every later test
-      is a lookup in it, inside the same call.  A value made from a bare
-      tuple has a budget of gens[0] steps, as many as the table has
-      residues, so a value that is asked little never gets a table, and its
-      table comes from :func:`build_apery`.  A value made by
-      ``parent.child(g)`` has no budget: its first test derives its table
-      from the parent's with :func:`extend_apery`, so a walk over prefixes
-      that asks many tests of each builds each table once, and never a
-      suffix.  This test holds the table, the suffix and the parent, but
-      not the value itself, so a dropped value is freed at once, with no
-      reference cycle for the collector.
+    ``Semigroup(gens)`` is one of two classes, chosen by the generator
+    count: :class:`_Pair` for one or two generators and :class:`_Many` for
+    three or more.  Each has its own ``contains``, ``_build_table``,
+    ``_minimal``, the minimal generators, and ``_progressions(hi)``, the
+    step and the starts below hi of the arithmetic progressions whose union
+    is the semigroup.
     """
 
-    __slots__ = ("gens", "contains", "d", "period", "inverse", "_parent", "_state")
+    __slots__ = ("gens", "d", "_table", "_suffix")
 
-    def __init__(self, generators, parent: Semigroup | None = None) -> None:
+    def __new__(cls, generators, parent: Semigroup | None = None) -> Semigroup:
         # A child's generators are its parent's, checked, and one above them.
-        gens = self.gens = _check_generators(generators) if parent is None else generators
-        self._parent = parent
-        state = self._state = _State()
-        if len(gens) <= 2:
-            a, b = gens[0], gens[-1]
-            d = self.d = math.gcd(a, b)
-            period = self.period = b // d
-            inverse = self.inverse = pow(a // d, -1, period)
-
-            def in_pair(t: int) -> bool:
-                return t % d == 0 and t // d * inverse % period * a <= t
-
-            self.contains = in_pair
-        else:
-            self.d = math.gcd(*gens)
-            if parent is None:
-                state.budget = gens[0]
-            self.contains = _searcher(gens, self.d, state, parent)
+        # The chosen class's __init__ then runs with the same arguments.
+        gens = _check_generators(generators) if parent is None else generators
+        self = object.__new__(_Pair if len(gens) <= 2 else _Many)
+        self.gens = gens
+        self.d = math.gcd(*gens)
+        self._table = self._suffix = None
+        return self
 
     def child(self, g: int) -> Semigroup:
         """The semigroup with g, above every generator, added; its table is
@@ -239,28 +197,16 @@ class Semigroup:
     @property
     def table(self) -> AperyTable:
         """The Apery table, built on first use."""
-        state = self._state
-        if state.table is None:
-            gens = self.gens
-            if len(gens) > 2:
-                state.table = _apery(gens, self._parent)
-            else:
-                # Each class start, all below a*b, is the least element of its
-                # class.
-                a = gens[0]
-                least: list[int | None] = [None] * a
-                for value in self._progressions(a * gens[-1])[1]:
-                    least[value % a] = value
-                state.table = AperyTable(generators=gens, modulus=a, least=tuple(least))
-        return state.table
+        if self._table is None:
+            self._table = self._build_table()
+        return self._table
 
     @property
     def suffix(self) -> Semigroup:
         """The semigroup of gens[1:], made on first use from the bare tuple."""
-        state = self._state
-        if state.suffix is None:
-            state.suffix = Semigroup(self.gens[1:])
-        return state.suffix
+        if self._suffix is None:
+            self._suffix = Semigroup(self.gens[1:])
+        return self._suffix
 
     def window(self, M: int) -> ObstructionSet:
         """The obstruction set of window M over the generators.
@@ -310,20 +256,6 @@ class Semigroup:
         minimal = tuple(g for g in self._minimal() if g < hi) if M == 1 else ()
         return lo, hi, size - len(minimal), minimal
 
-    def _minimal(self) -> tuple[int, ...]:
-        # The generators that are not a sum of two nonzero elements: g is
-        # minimal unless g - h is an element for a smaller generator h.  For
-        # a pair a < b that is b - a in <a, b>, so a dividing b; one
-        # generator is the pair (g, g).  The general rule in place of this
-        # closed form took core.scan(3, 70, in_class_only=True) from 30.4 to
-        # 33.5 ms (process time, best of 9, 2-core host).
-        gens = self.gens
-        if len(gens) <= 2:
-            a, b = gens[0], gens[-1]
-            return gens if b % a else (a,)
-        contains = self.contains
-        return tuple(g for g in gens if not any(contains(g - h) for h in gens if h < g))
-
     def member_mask(self, stop: int) -> bytearray:
         """A ``bytearray`` over 0, ..., stop - 1 that is 1 at the
         semigroup's elements and 0 elsewhere.
@@ -343,67 +275,122 @@ class Semigroup:
         del mask[stop:]
         return mask
 
-    def _progressions(self, hi: int) -> tuple[int, Iterable[int]]:
-        """The step and the starts below ``hi`` of the arithmetic
-        progressions whose union is the semigroup.
 
-        Three or more generators read their classes' least values off the
-        table, the step being m_1.  One or two, a <= b, need no table:
-        adding multiples of a keeps the class, so the least element of a
-        class is its least multiple of b.  The a/d multiples k*b below
-        (a/d)*b, d = gcd(a, b), fall in distinct classes, the multiples of
-        d, and the other classes are unreachable; the step is a.
-        """
+class _Pair(Semigroup):
+    """One or two generators a <= b, one generator g being the pair (g, g).
+
+    With d = gcd(a, b), a*k_a + b*k_b = t holds exactly for k_a in one
+    residue class modulo ``period`` = b/d, the least of which is
+    (t/d) * ``inverse`` mod b/d, ``inverse`` being (a/d)^-1 mod b/d.  So t
+    is in <a, b> iff d divides t and that least k_a has a*k_a <= t.  For one
+    generator, d = g, the period is 1 and the inverse 0, so the test is
+    divisibility by g and t >= 0.  ``d``, ``period`` and ``inverse`` are
+    kept for callers that walk the solutions.  No answer needs a table.
+    """
+
+    __slots__ = ("period", "inverse")
+
+    def __init__(self, generators, parent: Semigroup | None = None) -> None:
         gens = self.gens
-        if len(gens) > 2:
-            table = self.table
-            return table.modulus, [t for t in table.least if t is not None and t < hi]
-        a, b = gens[0], gens[-1]
+        period = self.period = gens[-1] // self.d
+        self.inverse = pow(gens[0] // self.d, -1, period)
+
+    def contains(self, t: int) -> bool:
+        d = self.d
+        return t % d == 0 and t // d * self.inverse % self.period * self.gens[0] <= t
+
+    def _build_table(self) -> AperyTable:
+        # Each class start, all below a*b, is the least element of its class.
+        gens = self.gens
+        a = gens[0]
+        least: list[int | None] = [None] * a
+        for value in self._progressions(a * gens[-1])[1]:
+            least[value % a] = value
+        return AperyTable(generators=gens, modulus=a, least=tuple(least))
+
+    def _minimal(self) -> tuple[int, ...]:
+        # The general rule of _Many._minimal in closed form: b - a is in
+        # <a, b> iff a divides b.  The general rule in its place took
+        # core.scan(3, 70, in_class_only=True) from 30.4 to 33.5 ms (process
+        # time, best of 9, 2-core host).
+        gens = self.gens
+        return gens if gens[-1] % gens[0] else gens[:1]
+
+    def _progressions(self, hi: int) -> tuple[int, Iterable[int]]:
+        # Adding multiples of a keeps the class, so the least element of a
+        # class is its least multiple of b.  The a/d multiples k*b below
+        # (a/d)*b fall in distinct classes, the multiples of d, and the other
+        # classes are unreachable; the step is a.
+        a, b = self.gens[0], self.gens[-1]
         top = a // self.d * b
         # A conditional, not min(): every pair window and mask asks this.
         return a, range(0, top if top < hi else hi, b)
 
 
-def _apery(gens: tuple[int, ...], parent: Semigroup | None) -> AperyTable:
-    # The table of three or more generators: derived from the parent's, or
-    # built from scratch for a bare tuple.
-    if parent is None:
-        return build_apery(gens)
-    return extend_apery(parent.table, gens[-1])
+class _Many(Semigroup):
+    """Three or more generators.
 
+    A t that d does not divide is out at once.  Otherwise t is in the
+    semigroup iff t - k*gens[0] lies in ``suffix`` for some k >= 0, and
+    ``contains`` searches those k.  The searches share a budget; a search
+    that would overrun it builds the table instead, and every later test is
+    a lookup in it, inside the same call.  A value made from a bare tuple
+    has a budget of gens[0] steps, as many as the table has residues, so a
+    value that is asked little never gets a table, and its table comes from
+    :func:`build_apery`.  A value made by ``parent.child(g)`` has no budget:
+    its first test derives its table from the parent's with
+    :func:`extend_apery`, so a walk over prefixes that asks many tests of
+    each builds each table once, and never a suffix.
+    """
 
-def _searcher(
-    gens: tuple[int, ...], d: int, state: _State, parent: Semigroup | None
-) -> Callable[[int], bool]:
-    # ``Semigroup.contains`` of three or more generators, over the state it
-    # shares with its semigroup and not over the semigroup.
-    g = gens[0]
+    __slots__ = ("_parent", "_budget")
 
-    def contains(t: int) -> bool:
-        table = state.table
+    def __init__(self, generators, parent: Semigroup | None = None) -> None:
+        self._parent = parent
+        self._budget = self.gens[0] if parent is None else 0
+
+    def contains(self, t: int) -> bool:
+        table = self._table
         if table is None:
             # Off the gcd, t is out before any step spends budget.
-            if t < 0 or t % d:
+            if t < 0 or t % self.d:
                 return False
+            g = self.gens[0]
             needed = t // g + 1
-            steps = min(needed, state.budget)
+            steps = min(needed, self._budget)
             if steps:
-                if state.suffix is None:
-                    state.suffix = Semigroup(gens[1:])
-                inside = state.suffix.contains
+                inside = self.suffix.contains
                 for k in range(steps):
                     if inside(t - k * g):
-                        state.budget -= k + 1
+                        self._budget -= k + 1
                         return True
-                state.budget -= steps
+                self._budget -= steps
                 if steps == needed:
                     return False
-            table = state.table = _apery(gens, parent)
+            table = self.table
         # Every least value is at least 0, so this is false for t < 0.
         least = table.least[t % table.modulus]
         return least is not None and t >= least
 
-    return contains
+    def _build_table(self) -> AperyTable:
+        # Derived from the parent's table, or built from scratch for a bare
+        # tuple.
+        if self._parent is None:
+            return build_apery(self.gens)
+        return extend_apery(self._parent.table, self.gens[-1])
+
+    def _minimal(self) -> tuple[int, ...]:
+        # The generators that are not a sum of two nonzero elements: g is
+        # minimal unless g - h is an element for a smaller generator h.
+        gens = self.gens
+        contains = self.contains
+        return tuple(g for g in gens if not any(contains(g - h) for h in gens if h < g))
+
+    def _progressions(self, hi: int) -> tuple[int, Iterable[int]]:
+        # Each class's least value, read off the table, starts its
+        # progression; the step is m_1.
+        table = self.table
+        return table.modulus, [t for t in table.least if t is not None and t < hi]
 
 
 def is_representable(table: AperyTable, t: int) -> bool:
@@ -443,5 +430,5 @@ def obstruction_set_fast(prefix, M: int, table: AperyTable) -> ObstructionSet:
             f"table generators {table.generators} do not match prefix {pref}"
         )
     group = Semigroup(pref)
-    group._state.table = table
+    group._table = table
     return group.window(M)

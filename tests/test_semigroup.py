@@ -269,6 +269,21 @@ class TestPairClosedForm:
         assert table.generators == pair
         assert table.least == sieve_least(pair)
 
+    @settings(deadline=None, max_examples=80)
+    @given(st.one_of(st.integers(1, 40).map(lambda g: (g,)), pairs))
+    @example((1,))
+    @example((7,))
+    @example((3, 9))
+    @example((4, 6))
+    @example((5, 7))
+    def test_minimal_matches_general_rule(self, gens):
+        # The pair's closed form against the rule of three or more
+        # generators, run over the pair's own contains: one generator, a
+        # dividing b and gcd > 1 are all drawn.
+        group = semigroup.Semigroup(gens)
+        assert type(group) is semigroup._Pair
+        assert group._minimal() == semigroup._Many._minimal(group)
+
     def test_window_reference(self):
         # Window 2 over (5, 7): seven blocked values, four admissible gaps.
         iset = semigroup.Semigroup((5, 7)).window(2)
@@ -319,7 +334,7 @@ def searched_only(gens):
     levels = []
     level = group
     while len(level.gens) > 2:
-        level._state.budget = 10**18
+        level._budget = 10**18
         levels.append(level)
         level = level.suffix
     return group, levels
@@ -346,9 +361,9 @@ class TestSemigroup:
             assert bare.contains(t) == expected, t
             assert kid.contains(t) == expected, t
             assert searched.contains(t) == expected, t
-        assert all(level._state.table is None for level in levels)
+        assert all(level._table is None for level in levels)
         # A child looks every test up in its derived table, never searching.
-        assert kid._state.suffix is None
+        assert kid._suffix is None
         assert kid.table == semigroup.build_apery(gens)
         assert bare.table == kid.table
 
@@ -405,11 +420,12 @@ class TestSemigroup:
             semigroup, "AperyTable", lambda **fields: built.append(fields) or table(**fields)
         )
         group = semigroup.Semigroup(gens)
-        budget = group._state.budget
+        # A pair has no budget.
+        budget = getattr(group, "_budget", None)
         for t in (-1, -gens[0], -gens[0] - 1, -100, -(10**30)):
             assert group.contains(t) is False, t
-        assert group._state.budget == budget
-        assert group._state.table is None and group._state.suffix is None
+        assert getattr(group, "_budget", None) == budget
+        assert group._table is None and group._suffix is None
         assert built == []
         assert derived(gens).contains(-1) is False
 
@@ -437,8 +453,25 @@ class TestSemigroup:
         for t in [*range(1, 3 * gens[-1]), *targets]:
             if t % fresh.d:
                 assert fresh.contains(t) is False, t
-        assert fresh._state.budget == gens[0]
-        assert fresh._state.table is None and fresh._state.suffix is None
+        assert fresh._budget == gens[0]
+        assert fresh._table is None and fresh._suffix is None
+
+    @pytest.mark.parametrize(
+        "gens, kind",
+        [((4,), "_Pair"), ((4, 6), "_Pair"), ((3, 5, 7), "_Many"), ((6, 10, 15, 21), "_Many")],
+    )
+    def test_values_keep_no_dict(self, gens, kind):
+        # Scans make thousands of these values, so every class keeps its
+        # fields in slots, whether the value is bare, a child or a suffix.
+        bare = semigroup.Semigroup(gens)
+        kid = derived(gens)
+        values = [bare, kid, bare.child(gens[-1] + 1)]
+        if len(gens) > 1:
+            values.append(bare.suffix)
+        assert type(bare).__name__ == type(kid).__name__ == kind
+        for value in values:
+            assert isinstance(value, semigroup.Semigroup)
+            assert not hasattr(value, "__dict__"), type(value)
 
     def test_child_must_extend_upwards(self):
         with pytest.raises(ValueError, match="exceed"):
@@ -463,7 +496,7 @@ class TestWindowSize:
     def test_pair_matches_window_and_oracle(self, pair, window):
         group = semigroup.Semigroup(pair)
         size = group.window_size(window)
-        assert group._state.table is None
+        assert group._table is None
         assert size == len(group.window(window).elements)
         assert size == len(oracle_window_elements(pair, window))
 
