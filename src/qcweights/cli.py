@@ -229,16 +229,19 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-# The ``--out`` file's buffer.  With the default 8 KiB, the 6 MB JSON listing
-# of ``resonances 2 3 5 7 253`` took over 700 write calls and 5.7 ms to
-# write on a 2-core host; with 32 KiB, 3.6 ms.  A larger buffer saves less
-# and adds to the peak memory that the output tests bound.
+# The output's buffer.  With the default 8 KiB, the 6 MB JSON listing of
+# ``resonances 2 3 5 7 253`` took over 700 write calls and 5.7 ms to write
+# to a file on a 2-core host; with 32 KiB, 3.6 ms.  A larger buffer saves
+# less and adds to the peak memory that the output tests bound.
 _OUT_BUFFER = 32 * 1024
 
 
 def _write(chunks: Iterable[bytes], out: str | None) -> None:
-    """Write the chunks, in order, to the ``--out`` file or to stdout's
-    binary stream, after anything already written to stdout as text."""
+    """Write the chunks, in order, to the ``--out`` file or to stdout, after
+    anything already written to stdout as text, through a buffer of
+    ``_OUT_BUFFER`` bytes either way.  A stdout with no file descriptor,
+    such as a test's capture, takes them through its own binary stream."""
+    target, closefd = out, True
     if out is None:
         # sys.stdout itself: click's text stream can be a new wrapper over
         # the same buffer, whose flush leaves sys.stdout's text behind.
@@ -246,11 +249,14 @@ def _write(chunks: Iterable[bytes], out: str | None) -> None:
 
         sys.stdout.flush()
         stream = click.get_binary_stream("stdout")
-        stream.writelines(chunks)
-        stream.flush()
-    else:
-        with open(out, "wb", buffering=_OUT_BUFFER) as fh:
-            fh.writelines(chunks)
+        try:
+            target, closefd = stream.fileno(), False
+        except OSError:
+            stream.writelines(chunks)
+            stream.flush()
+            return
+    with open(target, "wb", buffering=_OUT_BUFFER, closefd=closefd) as fh:
+        fh.writelines(chunks)
 
 
 # Slot markers.  Each renders as a JSON string no other text can equal

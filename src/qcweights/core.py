@@ -226,7 +226,7 @@ class _Prefix:
 
     def __init__(
         self,
-        group: semigroup.Semigroup,
+        group: semigroup.Semigroup | semigroup.BoundedSemigroup,
         witnesses: tuple[int, ...] = (),
         failure: ClassFailure | None = None,
     ) -> None:
@@ -449,10 +449,10 @@ def extend_ways(ways: list[int], part: int) -> list[int]:
 # What an m makes at the last level of a scan, besides no row (0): a row with
 # the prefix's verdict, an obstruction hit, or a no-window row.
 _PASS, _HIT, _NO_WINDOW = 1, 2, 3
-# Semigroup.member_mask as kinds: a member is no row under the in-class
+# BoundedSemigroup.mask as kinds: a member is no row under the in-class
 # filter and an obstruction hit otherwise.
-_IN_CLASS_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, 0)))
-_ROW_KINDS = bytes.maketrans(b"\x00\x01", bytes((_PASS, _HIT)))
+_IN_CLASS_KINDS = bytes.maketrans(b"01", bytes((_PASS, 0)))
+_ROW_KINDS = bytes.maketrans(b"01", bytes((_PASS, _HIT)))
 
 
 def _least_factor(n: int, p: int = 2) -> int:
@@ -486,20 +486,6 @@ def _drop_multiples(mask: bytearray, start: int, primes: Iterable[int]) -> None:
         mask[multiples.start :: p] = bytes(len(multiples))
 
 
-def _cached_size(
-    group: semigroup.Semigroup, window_sizes: dict[int, int], sigma: int, m: int
-) -> int | None:
-    # The obstruction-set size of the window over the prefix that holds m,
-    # cached by window index; None where sigma divides m.
-    window = window_index(sigma, m)
-    if window is None:
-        return None
-    size = window_sizes.get(window)
-    if size is None:
-        size = window_sizes[window] = group.window_size(window)
-    return size
-
-
 def scan(
     n: int, max_weight: int, *, in_class_only: bool = False, resonance_free_only: bool = False
 ) -> ScanRows:
@@ -512,31 +498,30 @@ def scan(
     prefix alone, so each prefix's verdict, semigroup, coin-change counts
     and window sizes are made once and shared by all its extensions.  They
     live only while that prefix is being extended.  Each prefix's
-    ``semigroup.Semigroup`` is its parent's ``child``, so a prefix of three
-    or more entries derives its Apery table from its parent's in one pass;
-    a two-entry prefix answers in closed form and builds its table only for
-    a child.  Both filters hold for a weight only if they hold for each of
-    its prefixes (a failure is final and the witnesses of a prefix are
-    witnesses of the weight), so they prune whole subtrees.
+    semigroup is a ``semigroup.BoundedSemigroup``, its parent's ``child``:
+    its elements below n * max_weight + 1, past which no window the scan
+    sizes ends, as the bits of one int, made from the parent's by a few
+    shifts, with no Apery table.  Both filters hold for a weight only if
+    they hold for each of its prefixes (a failure is final and the
+    witnesses of a prefix are witnesses of the weight), so they prune whole
+    subtrees.
 
     Inner prefixes are judged by ``_Prefix.judge``.  The last level, which
     makes every row, selects its rows without a call per m.  A ``bytearray``
     over 0..max_weight marks what each m would make: no row where m shares a
     prime with the prefix gcd, else a pass, an obstruction hit where m lies
-    in the prefix's semigroup (``Semigroup.member_mask``, one slice
-    assignment per progression) or no window where the prefix sum divides
-    m.  The resonance counts of all its rows are read off the coin-change
-    counts at the prefix entries' fixed offsets.  Under the resonance-free
-    filter the zero counts mark the rows instead, as every member of the
-    semigroup has a resonance.  Each window's rows are then one
-    ``itertools.compress`` over its integers and one over its counts, and
-    are kept as stretches that share their witnesses, failure and window
-    sizes: one stretch per window under either filter, and with none one
-    per maximal run of one failure.  Window sizes come from
-    ``Semigroup.window_size``, which counts any window's progression terms
-    per residue class without listing them, once per window that makes a
-    row.  The rows
-    of a stretch are made only as the returned sequence is read.
+    in the prefix's semigroup (``BoundedSemigroup.mask``, the prefix's bits
+    as digits) or no window where the prefix sum divides m.  The resonance
+    counts of all its rows are read off the coin-change counts at the prefix
+    entries' fixed offsets.  Under the resonance-free filter the zero counts
+    mark the rows instead, as every member of the semigroup has a resonance.
+    Each window's rows are then one ``itertools.compress`` over its integers
+    and one over its counts, and are kept as stretches that share their
+    witnesses, failure and window sizes: one stretch per window under either
+    filter, and with none one per maximal run of one failure.  Window sizes
+    come from ``BoundedSemigroup.window_size``, one count of the window's
+    bits, once per window that makes a row.  The rows of a stretch are made
+    only as the returned sequence is read.
     """
     n, max_weight = operator.index(n), operator.index(max_weight)
     if n < 2:
@@ -587,7 +572,7 @@ def scan(
             # m exceeds every prefix entry, so it is blocked exactly when it
             # lies in the prefix's semigroup.  The multiples of sigma are
             # members too, so the in-class filter has dropped them already.
-            kinds = group.member_mask(stop).translate(kinds_of_members)
+            kinds = group.mask(stop).translate(kinds_of_members)
         else:
             kinds = bytearray((_PASS,)) * stop
         # Under either filter every row is of the prefix's verdict.
@@ -652,14 +637,19 @@ def scan(
                 continue
             level_sizes = sizes
             if depth >= 2:
-                level_sizes = (
-                    *sizes, _cached_size(prefix.group, window_sizes, prefix.sigma, m)
-                )
+                # The size of m's window, cached by index; None where sigma
+                # divides m.
+                window = window_index(prefix.sigma, m)
+                size = window_sizes.get(window)
+                if size is None and window is not None:
+                    size = window_sizes[window] = prefix.group.window_size(window)
+                level_sizes = (*sizes, size)
             child = _Prefix(prefix.group.child(m), witnesses, failure)
             walk(child, math.gcd(gcd, m), extend_ways(ways, m), count, level_sizes)
 
+    root = semigroup.BoundedSemigroup(n * max_weight + 1)
     for first in range(1, max_weight - n + 2):
-        walk(_Prefix(semigroup.Semigroup((first,))), first, extend_ways(unit, first), 0, ())
+        walk(_Prefix(root.child(first)), first, extend_ways(unit, first), 0, ())
     # walk reaches itself through its closure.  Breaking that cycle frees the
     # closures, and the list of stretches they hold, when scan returns, so
     # the rows go as soon as the returned sequence does, not at the next

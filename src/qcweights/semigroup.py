@@ -8,8 +8,7 @@ A class holds exactly its least value and every larger integer of the class,
 one arithmetic progression of step m_1.  An obstruction set is the
 semigroup's nonzero elements minus its minimal generators, so the window
 pass reads each class's progression tail inside the window, in
-O(m_1 + output) time and memory for any window index, and a window's size
-is counted per class without listing it.
+O(m_1 + output) time and memory for any window index.
 
 :class:`Semigroup` answers membership and windows for one generator
 tuple, as one of two classes.  Membership is a closed form for one or two
@@ -18,6 +17,9 @@ budgeted search before it, for three or more.  Its window pass is one for
 every generator count: the classes of one or two generators start at the
 multiples of the largest, and any other count's are read off the table.
 :func:`obstruction_set_fast` runs that pass over a given table.
+
+:class:`BoundedSemigroup` answers the same questions below a fixed width,
+as the bits of one int, for a walk that adds one generator at a time.
 
 The sieve, a forward dynamic program over 0..bound, is kept only as the
 independent oracle the tests compare the Apery engine against; the
@@ -159,12 +161,11 @@ class Semigroup:
 
     ``contains(t)`` tells whether t is a nonnegative combination of the
     generators, and is false for every t < 0.  ``window(M)`` is the
-    obstruction set of window M over the generators, ``window_size(M)`` its
-    size and ``member_mask(stop)`` the membership of 0, ..., stop - 1 as a
-    ``bytearray``; all three read the semigroup as the arithmetic
-    progressions of ``_progressions``, with one body for every generator
-    count.  ``table`` is the Apery table and ``suffix`` the semigroup of
-    gens[1:]; both are made on first use.  ``d`` is the generators' gcd.
+    obstruction set of window M over the generators; it reads the semigroup
+    as the arithmetic progressions of ``_progressions``, with one body for
+    every generator count.  ``table`` is the Apery table and ``suffix`` the
+    semigroup of gens[1:]; both are made on first use.  ``d`` is the
+    generators' gcd.
 
     ``Semigroup(gens)`` is one of two classes, chosen by the generator
     count: :class:`_Pair` for one or two generators and :class:`_Many` for
@@ -176,23 +177,14 @@ class Semigroup:
 
     __slots__ = ("gens", "d", "_table", "_suffix")
 
-    def __new__(cls, generators, parent: Semigroup | None = None) -> Semigroup:
-        # A child's generators are its parent's, checked, and one above them.
-        # The chosen class's __init__ then runs with the same arguments.
-        gens = _check_generators(generators) if parent is None else generators
+    def __new__(cls, generators) -> Semigroup:
+        # The chosen class's __init__ then runs with the same argument.
+        gens = _check_generators(generators)
         self = object.__new__(_Pair if len(gens) <= 2 else _Many)
         self.gens = gens
         self.d = math.gcd(*gens)
         self._table = self._suffix = None
         return self
-
-    def child(self, g: int) -> Semigroup:
-        """The semigroup with g, above every generator, added; its table is
-        derived from this one's."""
-        g = operator.index(g)
-        if g <= self.gens[-1]:
-            raise ValueError(f"a child's generator must exceed {self.gens[-1]}, got {g}")
-        return Semigroup((*self.gens, g), self)
 
     @property
     def table(self) -> AperyTable:
@@ -211,69 +203,29 @@ class Semigroup:
     def window(self, M: int) -> ObstructionSet:
         """The obstruction set of window M over the generators.
 
-        The pass of ``_window_pass`` extends one list with each
-        progression's tail inside the window; the list is sorted once and,
-        in window 1, loses the minimal generators: O(m_1 + output) time and
-        memory, m_1 being the smallest generator, or O(min(m_1, M) + output)
-        for one or two generators, whose progressions start at the
-        multiples of the largest.
+        One list is extended with each progression's tail inside the
+        window, from its first term there; the list is sorted once and, in
+        window 1, loses the minimal generators, which only window 1 holds (a
+        lone generator is its top): O(m_1 + output) time and memory, m_1
+        being the smallest generator, or O(min(m_1, M) + output) for one or
+        two generators, whose progressions start at the multiples of the
+        largest.
         """
         M = _check_window(M)
+        lo, hi = window_interval(sum(self.gens), M)
+        step, starts = self._progressions(hi)
+        first_in = lo + 1
         elements: list[int] = []
-        lo, hi, _, minimal = self._window_pass(M, elements)
+        for start in starts:
+            first = start if start >= first_in else first_in + (start - first_in) % step
+            elements.extend(range(first, hi, step))
         elements.sort()
-        if minimal:
+        if M == 1:
+            minimal = self._minimal()
             elements = [t for t in elements if t not in minimal]
         return ObstructionSet(
             prefix=self.gens, window=M, interval=(lo, hi), elements=tuple(elements)
         )
-
-    def window_size(self, M: int) -> int:
-        """``len(self.window(M).elements)``, counted by the same pass
-        without listing it."""
-        return self._window_pass(_check_window(M))[2]
-
-    def _window_pass(
-        self, M: int, elements: list[int] | None = None
-    ) -> tuple[int, int, int, tuple[int, ...]]:
-        # One pass over the progressions' tails inside window M, which
-        # returns its open bounds lo and hi, its size and the minimal
-        # generators inside it, which only window 1 holds and drops (a lone
-        # generator is window 1's top).  A tail runs from its first term
-        # inside the window and has (hi - 1 - first) // step + 1 terms; given
-        # a list, the pass extends it with them.  The count makes no range
-        # per tail: scans call window_size once per table window, and a
-        # range per tail made each call about twice as slow.
-        lo, hi = window_interval(sum(self.gens), M)
-        step, starts = self._progressions(hi)
-        first_in = lo + 1
-        size = 0
-        for start in starts:
-            first = start if start >= first_in else first_in + (start - first_in) % step
-            size += (hi - 1 - first) // step + 1
-            if elements is not None:
-                elements.extend(range(first, hi, step))
-        minimal = tuple(g for g in self._minimal() if g < hi) if M == 1 else ()
-        return lo, hi, size - len(minimal), minimal
-
-    def member_mask(self, stop: int) -> bytearray:
-        """A ``bytearray`` over 0, ..., stop - 1 that is 1 at the
-        semigroup's elements and 0 elsewhere.
-
-        Each progression below ``stop`` is one slice assignment, so the mask
-        costs one C-level pass per residue class and no call per integer.
-        """
-        step, starts = self._progressions(stop)
-        # Each progression is given as many terms as the longest has, so the
-        # mask runs past stop until it is cut back.
-        terms = (stop - 1) // step + 1
-        span = terms * step
-        mask = bytearray(stop + span)
-        ones = b"\x01" * terms
-        for start in starts:
-            mask[start : start + span : step] = ones
-        del mask[stop:]
-        return mask
 
 
 class _Pair(Semigroup):
@@ -290,7 +242,7 @@ class _Pair(Semigroup):
 
     __slots__ = ("period", "inverse")
 
-    def __init__(self, generators, parent: Semigroup | None = None) -> None:
+    def __init__(self, generators) -> None:
         gens = self.gens
         period = self.period = gens[-1] // self.d
         self.inverse = pow(gens[0] // self.d, -1, period)
@@ -310,9 +262,7 @@ class _Pair(Semigroup):
 
     def _minimal(self) -> tuple[int, ...]:
         # The general rule of _Many._minimal in closed form: b - a is in
-        # <a, b> iff a divides b.  The general rule in its place took
-        # core.scan(3, 70, in_class_only=True) from 30.4 to 33.5 ms (process
-        # time, best of 9, 2-core host).
+        # <a, b> iff a divides b.
         gens = self.gens
         return gens if gens[-1] % gens[0] else gens[:1]
 
@@ -323,7 +273,7 @@ class _Pair(Semigroup):
         # classes are unreachable; the step is a.
         a, b = self.gens[0], self.gens[-1]
         top = a // self.d * b
-        # A conditional, not min(): every pair window and mask asks this.
+        # A conditional, not min(): every pair window asks this.
         return a, range(0, top if top < hi else hi, b)
 
 
@@ -334,20 +284,15 @@ class _Many(Semigroup):
     semigroup iff t - k*gens[0] lies in ``suffix`` for some k >= 0, and
     ``contains`` searches those k.  The searches share a budget; a search
     that would overrun it builds the table instead, and every later test is
-    a lookup in it, inside the same call.  A value made from a bare tuple
-    has a budget of gens[0] steps, as many as the table has residues, so a
-    value that is asked little never gets a table, and its table comes from
-    :func:`build_apery`.  A value made by ``parent.child(g)`` has no budget:
-    its first test derives its table from the parent's with
-    :func:`extend_apery`, so a walk over prefixes that asks many tests of
-    each builds each table once, and never a suffix.
+    a lookup in it, inside the same call.  The budget is gens[0] steps, as
+    many as the table has residues, so a value that is asked little never
+    gets a table, and its table comes from :func:`build_apery`.
     """
 
-    __slots__ = ("_parent", "_budget")
+    __slots__ = ("_budget",)
 
-    def __init__(self, generators, parent: Semigroup | None = None) -> None:
-        self._parent = parent
-        self._budget = self.gens[0] if parent is None else 0
+    def __init__(self, generators) -> None:
+        self._budget = self.gens[0]
 
     def contains(self, t: int) -> bool:
         table = self._table
@@ -373,11 +318,7 @@ class _Many(Semigroup):
         return least is not None and t >= least
 
     def _build_table(self) -> AperyTable:
-        # Derived from the parent's table, or built from scratch for a bare
-        # tuple.
-        if self._parent is None:
-            return build_apery(self.gens)
-        return extend_apery(self._parent.table, self.gens[-1])
+        return build_apery(self.gens)
 
     def _minimal(self) -> tuple[int, ...]:
         # The generators that are not a sum of two nonzero elements: g is
@@ -391,6 +332,69 @@ class _Many(Semigroup):
         # progression; the step is m_1.
         table = self.table
         return table.modulus, [t for t in table.least if t is not None and t < hi]
+
+
+class BoundedSemigroup:
+    """The elements below ``width`` of the semigroup of ``gens``, as the
+    bits of one int, for a walk that adds one generator at a time.
+
+    Bit t of ``bits`` is 1 iff t is a nonnegative combination of the
+    generators, for 0 <= t < width, and ``minimal`` holds the minimal
+    generators.  ``BoundedSemigroup(width)`` is {0}, with no generators, and
+    ``child(g)`` adds one.  ``contains(t)`` is 1 or 0 for 0 <= t < width,
+    ``mask(stop)`` is the membership of 0, ..., stop - 1 as ASCII digits for
+    1 <= stop <= width, and ``window_size(M)`` is
+    ``len(Semigroup(gens).window(M).elements)`` for every window that ends
+    at or below the width.  A scan of n entries up to max_weight sizes
+    windows that end below max_weight plus a prefix sum, so a width of
+    n * max_weight + 1 serves all of it.
+    """
+
+    __slots__ = ("width", "gens", "bits", "minimal")
+
+    def __init__(self, width: int, gens=(), bits: int = 1, minimal=()) -> None:
+        self.width, self.gens, self.bits, self.minimal = width, gens, bits, minimal
+
+    def child(self, g: int) -> BoundedSemigroup:
+        """The semigroup with g, above every generator and below the width,
+        added.
+
+        Shift-and-OR doubling: after the shifts g, 2g, ..., 2^(i-1)*g each
+        element plus 0, ..., 2^i - 1 copies of g is set.  The shifts stop at
+        the first 2^i*g at or past the width, when those counts reach every
+        multiple of g below it, and a bit cut off at the top sets no bit
+        below it.  g is minimal exactly when it is no element yet, and no
+        smaller generator stops being minimal, since none is a sum with g.
+        """
+        bits, width = self.bits, self.width
+        top = self.gens[-1] if self.gens else 0
+        if not top < g < width:
+            raise ValueError(f"a child's generator must lie in ({top}, {width}), got {g}")
+        gens = (*self.gens, g)
+        if bits >> g & 1:
+            return BoundedSemigroup(width, gens, bits, self.minimal)
+        full = (1 << width) - 1
+        shift = g
+        while shift < width:
+            bits |= bits << shift & full
+            shift <<= 1
+        return BoundedSemigroup(width, gens, bits, (*self.minimal, g))
+
+    def contains(self, t: int) -> int:
+        return self.bits >> t & 1
+
+    def mask(self, stop: int) -> bytearray:
+        # Bit t is the t-th digit from the right, so the digits are reversed.
+        return bytearray(format(self.bits & ((1 << stop) - 1), "0%db" % stop)[::-1], "ascii")
+
+    def window_size(self, M: int) -> int:
+        # The elements in (lo, hi), less the minimal generators, which only
+        # window 1 holds (a lone generator is its top).
+        lo, hi = window_interval(sum(self.gens), _check_window(M))
+        size = ((self.bits & ((1 << hi) - 1)) >> (lo + 1)).bit_count()
+        if M == 1:
+            size -= sum(g < hi for g in self.minimal)
+        return size
 
 
 def is_representable(table: AperyTable, t: int) -> bool:

@@ -647,8 +647,14 @@ class TestCommandRunner:
         [
             (["scan", "--n", "3", "--max", "12", "--format", "csv"], "scan_csv.txt", 0),
             (["classify", "3", "5", "9"], "classify_text.txt", 3),
+            (
+                ["scan", "--n", "4", "--max", "14", "--filter", "resonance-free", "--format",
+                 "csv"],
+                "scan_n4_resfree_csv.txt",
+                0,
+            ),
         ],
-        ids=["scan-csv", "classify-text"],
+        ids=["scan-csv", "classify-text", "scan-n4-resfree-csv"],
     )
     def test_csv_and_negative_answer_match_goldens(self, capsys, argv, golden, expected_code):
         code, out, err = run_cli(argv, capsys)
@@ -709,6 +715,7 @@ class TestOutputSinks:
         [
             (["scan", "--n", "3", "--max", "12"], "scan_json.txt"),
             (["resonances", "2", "3", "5", "7", "30"], "resonances_json.txt"),
+            (["scan", "--n", "4", "--max", "14"], "scan_n4_json.txt"),
         ],
     )
     def test_golden_through_out_file(self, capsys, tmp_path, argv, golden):
@@ -773,6 +780,42 @@ class TestOutputSinks:
         assert code == file_code
         assert _strip_elapsed_bytes(target.read_bytes()) == _strip_elapsed_bytes(out)
         assert out.isascii() and out.endswith(b"\n") and b"\r" not in out
+
+    @pytest.mark.parametrize(
+        "argv, golden, expected_code",
+        [
+            (["scan", "--n", "3", "--max", "12", "--format", "json"], "scan_json.txt", 0),
+            (["scan", "--n", "4", "--max", "14", "--format", "json"], "scan_n4_json.txt", 0),
+            (
+                ["scan", "--n", "4", "--max", "14", "--filter", "resonance-free", "--format",
+                 "csv"],
+                "scan_n4_resfree_csv.txt",
+                0,
+            ),
+            (["resonances", "2", "3", "5", "7", "30", "--format", "json"],
+             "resonances_json.txt", 3),
+            (["table", "d-table"], "d_table.txt", 0),
+        ],
+        ids=["scan-json", "scan-n4-json", "scan-n4-resfree-csv", "resonances-json", "d-table"],
+    )
+    def test_goldens_through_a_pipe(self, argv, golden, expected_code):
+        # stdout a real pipe: the bytes go through its file descriptor.
+        proc = subprocess.run(
+            [sys.executable, "-m", "qcweights", *argv], capture_output=True
+        )
+        assert (proc.returncode, proc.stderr) == (expected_code, b"")
+        assert strip_elapsed(proc.stdout.decode()) == (GOLDEN / golden).read_text()
+
+    def test_pipe_equals_out_file_past_the_buffer(self, tmp_path):
+        # Some hundred kilobytes, many times the output buffer, through a
+        # pipe and through --out.
+        argv = [sys.executable, "-m", "qcweights", "scan", "--n", "4", "--max", "20",
+                "--format", "json"]
+        target = tmp_path / "out.json"
+        piped = subprocess.run(argv, capture_output=True, check=True).stdout
+        subprocess.run([*argv, "--out", str(target)], capture_output=True, check=True)
+        assert len(piped) > 200_000
+        assert _strip_elapsed_bytes(piped) == _strip_elapsed_bytes(target.read_bytes())
 
     def test_text_written_first_stays_first(self):
         # Text still buffered in stdout, a pipe here, goes out before the

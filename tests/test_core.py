@@ -451,13 +451,13 @@ class TestIsInClass:
     def test_search_matches_table_verdict(self, m):
         # Every level's membership test, searched, against a lookup in the
         # prefix's Apery table, and the whole verdict against the one read
-        # off tables derived prefix by prefix, as the scan reads it.
+        # off bitsets made prefix by prefix, as the scan reads it.
         for j in range(3, len(m) + 1):
             table = semigroup.build_apery(m[: j - 1])
             assert semigroup.Semigroup(m[: j - 1]).contains(m[j - 1]) == (
                 semigroup.is_representable(table, m[j - 1])
             ), (m, j)
-        state = core._Prefix(semigroup.Semigroup(m[:1]))
+        state = core._Prefix(semigroup.BoundedSemigroup(m[-1] + 1).child(m[0]))
         for j in range(2, len(m) + 1):
             state = core._Prefix(state.group.child(m[j - 1]), *state.judge(m[j - 1]))
         verdict = core.is_in_class(m)
@@ -1286,16 +1286,14 @@ class TestLargeInputs:
         assert calls == Counter()
         assert peak < 64 << 10
 
-    def test_length_3_scan_builds_no_table(self, monkeypatch):
-        # Every prefix a length-3 scan extends has two entries, so its
-        # verdicts and window sizes are answered in closed form.  A length-4
-        # scan makes each pair table in closed form, for a three-entry child
-        # to derive its own from; no table is built from scratch.
+    def test_scans_build_no_table(self, monkeypatch):
+        # A scan answers every verdict, mask and window size off its
+        # prefixes' bitsets, so no Apery table is made, at any length.
         calls = table_calls(monkeypatch)
         assert core.scan(3, 30)
+        assert core.scan(4, 12)
+        assert core.scan(5, 14)
         assert calls == Counter()
-        core.scan(4, 12)
-        assert calls == Counter({"tables of 2": 45, "extend_apery": 165, "tables of 3": 165})
 
 
 class TestShiftMapMonotonicity:

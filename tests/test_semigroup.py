@@ -177,18 +177,18 @@ class TestOneGenerator:
         assert (group.d, group.period, group.inverse) == (g, 1, 0)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 20), st.integers(1, 5), st.integers(0, 80))
-    @example(1, 1, 0)
+    @given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 80))
+    @example(1, 1, 1)
     @example(5, 1, 7)
     @example(3, 2, 30)
     def test_window_mask_and_table_match_sieve(self, g, window, stop):
         group = semigroup.Semigroup((g,))
         got = group.window(window)
         assert got == sieve_window((g,), window)
-        assert group.window_size(window) == len(got.elements)
+        bits = bounded((g,), max(stop, window * g, g + 1))
+        assert bits.window_size(window) == len(got.elements)
         sieve = semigroup.build_sieve((g,), stop)
-        expected = bytearray(sieve_contains(sieve, t) for t in range(stop))
-        assert group.member_mask(stop) == expected
+        assert bits.mask(stop) == digits(sieve_contains(sieve, t) for t in range(stop))
         assert group.table == semigroup.AperyTable((g,), g, sieve_least((g,)))
 
 
@@ -301,13 +301,6 @@ class TestPairClosedForm:
         assert iset.elements == (398098, 597117, 597127, 597137, 597147, 796156, 796166)
         assert peak < 16 << 10
 
-    @pytest.mark.parametrize("a, b, M", [(5, 5, 1), (7, 5, 1), (0, 5, 1), (3, 5, 0)])
-    def test_bad_arguments(self, a, b, M):
-        # A pair is made from a generator a >= 1 and a child b > a, and asked
-        # for a window M >= 1.
-        with pytest.raises(ValueError):
-            semigroup.Semigroup((a,)).child(b).window(M)
-
 
 # One to five generators up to 36, two thirds of them scaled by 2 or 3 so
 # that the gcd exceeds 1.
@@ -318,13 +311,18 @@ generator_tuples = st.builds(
 )
 
 
-def derived(gens):
-    """The value of gens made as the scan makes it, one child at a time, so
-    a value of three or more generators derives its table from its parent's."""
-    group = semigroup.Semigroup(gens[:1])
-    for g in gens[1:]:
+def bounded(gens, width):
+    """The scan's bitset of gens below width, made as the scan makes it, one
+    child at a time."""
+    group = semigroup.BoundedSemigroup(width)
+    for g in gens:
         group = group.child(g)
     return group
+
+
+def digits(flags):
+    """Membership flags as the ASCII digits of ``BoundedSemigroup.mask``."""
+    return bytearray(b"01"[flag] for flag in flags)
 
 
 def searched_only(gens):
@@ -354,26 +352,24 @@ class TestSemigroup:
         # Every least value lies below modulus * max generator.
         bound = gens[0] * gens[-1] + 1
         sieve = semigroup.build_sieve(gens, bound)
-        bare, kid = semigroup.Semigroup(gens), derived(gens)
+        bare, bits = semigroup.Semigroup(gens), bounded(gens, bound + 1)
         searched, levels = searched_only(gens)
         for t in range(-gens[-1], bound + 1):
             expected = sieve_contains(sieve, t)
             assert bare.contains(t) == expected, t
-            assert kid.contains(t) == expected, t
+            assert t < 0 or bits.contains(t) == expected, t
             assert searched.contains(t) == expected, t
         assert all(level._table is None for level in levels)
-        # A child looks every test up in its derived table, never searching.
-        assert kid._suffix is None
-        assert kid.table == semigroup.build_apery(gens)
-        assert bare.table == kid.table
+        assert bare.table == semigroup.build_apery(gens)
 
     def test_contains_matches_oracle(self):
         for size in (1, 2, 3):
             for gens in combinations(range(1, 9), size):
-                bare, kid = semigroup.Semigroup(gens), derived(gens)
+                bare, bits = semigroup.Semigroup(gens), bounded(gens, 30)
                 for t in range(-3, 30):
                     expected = oracle_representable(gens, t)
-                    assert bare.contains(t) == kid.contains(t) == expected, (gens, t)
+                    assert bare.contains(t) == expected, (gens, t)
+                    assert t < 0 or bits.contains(t) == expected, (gens, t)
 
     @settings(deadline=None, max_examples=80)
     @given(generator_tuples, st.integers(1, 3))
@@ -386,30 +382,9 @@ class TestSemigroup:
     def test_window_matches_sieve_and_oracle(self, gens, window):
         got = semigroup.Semigroup(gens).window(window)
         assert got == sieve_window(gens, window)
-        assert got == derived(gens).window(window)
+        assert bounded(gens, got.interval[1] + 1).window_size(window) == len(got.elements)
         if len(gens) <= 3:
             assert list(got.elements) == oracle_window_elements(gens, window)
-
-    @settings(deadline=None, max_examples=80)
-    @given(generator_tuples, st.integers(0, 80))
-    @example((4,), 9)
-    @example((2, 4), 11)
-    @example((3, 9), 1)
-    @example((6, 10, 15), 47)
-    @example((1, 2), 0)
-    def test_member_mask_matches_contains(self, gens, stop):
-        # One slice assignment per progression below stop marks the members.
-        sieve = semigroup.build_sieve(gens, stop)
-        expected = bytearray(sieve_contains(sieve, t) for t in range(stop))
-        assert semigroup.Semigroup(gens).member_mask(stop) == expected
-        assert derived(gens).member_mask(stop) == expected
-
-    def test_pair_member_mask_builds_no_table(self, monkeypatch):
-        calls = table_calls(monkeypatch, stub=True)
-        mask = semigroup.Semigroup((199039, 199049)).member_mask(398099)
-        assert calls == Counter()
-        members = [t for t in range(398099) if mask[t]]
-        assert members == [0, 199039, 199049, 398078, 398088, 398098]
 
     @pytest.mark.parametrize("gens", [(3,), (3, 5), (4, 6), (20, 22, 24), (6, 10, 15, 21)])
     def test_negative_targets_spend_nothing(self, monkeypatch, gens):
@@ -427,7 +402,6 @@ class TestSemigroup:
         assert getattr(group, "_budget", None) == budget
         assert group._table is None and group._suffix is None
         assert built == []
-        assert derived(gens).contains(-1) is False
 
     @settings(deadline=None, max_examples=80)
     @given(
@@ -443,12 +417,12 @@ class TestSemigroup:
         # target off the gcd with no search step and no table.
         gens = tuple(sorted(factor * e for e in entries))
         table = semigroup.build_apery(gens)
-        bare, kid = semigroup.Semigroup(gens), derived(gens)
+        bare = semigroup.Semigroup(gens)
         searched, _ = searched_only(gens)
-        assert bare.d == kid.d == math.gcd(*gens) > 1
+        assert bare.d == math.gcd(*gens) > 1
         for t in [*range(-gens[-1], gens[0] * gens[-1] + 2), *targets]:
             expected = semigroup.is_representable(table, t)
-            assert bare.contains(t) == kid.contains(t) == searched.contains(t) == expected, t
+            assert bare.contains(t) == searched.contains(t) == expected, t
         fresh = semigroup.Semigroup(gens)
         for t in [*range(1, 3 * gens[-1]), *targets]:
             if t % fresh.d:
@@ -461,29 +435,25 @@ class TestSemigroup:
         [((4,), "_Pair"), ((4, 6), "_Pair"), ((3, 5, 7), "_Many"), ((6, 10, 15, 21), "_Many")],
     )
     def test_values_keep_no_dict(self, gens, kind):
-        # Scans make thousands of these values, so every class keeps its
-        # fields in slots, whether the value is bare, a child or a suffix.
+        # Walks make thousands of these values, so every class keeps its
+        # fields in slots, whether the value is bare or a suffix, and so does
+        # the scan's bitset.
         bare = semigroup.Semigroup(gens)
-        kid = derived(gens)
-        values = [bare, kid, bare.child(gens[-1] + 1)]
+        values = [bare]
         if len(gens) > 1:
             values.append(bare.suffix)
-        assert type(bare).__name__ == type(kid).__name__ == kind
+        assert type(bare).__name__ == kind
         for value in values:
             assert isinstance(value, semigroup.Semigroup)
             assert not hasattr(value, "__dict__"), type(value)
-
-    def test_child_must_extend_upwards(self):
-        with pytest.raises(ValueError, match="exceed"):
-            semigroup.Semigroup((3, 5)).child(4)
+        assert not hasattr(bounded(gens, 2 * gens[-1]), "__dict__")
 
 
 class TestWindowSize:
-    """``Semigroup.window_size(M)`` is ``len(window(M).elements)``, counted
-    per residue class for every generator count without listing the
-    window.  It shares its pass with ``window``, so it is checked against
-    the sieve and the nested-loop oracle, not against ``window``; a pair
-    builds no table."""
+    """``BoundedSemigroup.window_size(M)`` is the size of
+    ``Semigroup(gens).window(M)`` for every window inside the width, read
+    as one count of the window's bits; it is checked against ``window``,
+    the sieve and the nested-loop oracle."""
 
     @settings(deadline=None, max_examples=80)
     @given(pairs, st.integers(1, 4))
@@ -494,20 +464,9 @@ class TestWindowSize:
     @example((4, 6), 1)
     @example((6, 10), 3)
     def test_pair_matches_window_and_oracle(self, pair, window):
-        group = semigroup.Semigroup(pair)
-        size = group.window_size(window)
-        assert group._table is None
-        assert size == len(group.window(window).elements)
+        size = bounded(pair, window * sum(pair) + 1).window_size(window)
+        assert size == len(semigroup.Semigroup(pair).window(window).elements)
         assert size == len(oracle_window_elements(pair, window))
-
-    @settings(deadline=None, max_examples=80)
-    @given(pairs, st.integers(1, 10**30))
-    @example((2, 4), 10**30)
-    @example((4, 6), 10**30)
-    @example((7, 15), 10**30)
-    def test_pair_matches_window_at_huge_indices(self, pair, window):
-        group = semigroup.Semigroup(pair)
-        assert group.window_size(window) == len(group.window(window).elements)
 
     @settings(deadline=None, max_examples=60)
     @given(generator_tuples, st.integers(1, 4))
@@ -519,8 +478,8 @@ class TestWindowSize:
         # In (3, 6, 9) and (4, 6, 8) some generators are not minimal, so
         # window 1 keeps them.
         expected = sieve_window(gens, window).size
-        assert semigroup.Semigroup(gens).window_size(window) == expected
-        assert derived(gens).window_size(window) == expected
+        assert bounded(gens, window * sum(gens) + 1).window_size(window) == expected
+        assert len(semigroup.Semigroup(gens).window(window).elements) == expected
 
     @settings(deadline=None, max_examples=60)
     @given(generator_tuples)
@@ -528,30 +487,21 @@ class TestWindowSize:
     @example((3, 6, 9))
     @example((4, 6, 8))
     def test_any_generator_count_past_the_conductor(self, gens):
-        # Far past the conductor a window holds exactly the multiples of the
-        # generators' gcd d, and the window's ends, multiples of the
-        # generator sum, are multiples of d too.
-        expected = sum(gens) // math.gcd(*gens) - 1
-        assert semigroup.Semigroup(gens).window_size(10**30) == expected
-        assert derived(gens).window_size(10**30) == expected
-
-    @pytest.mark.parametrize(
-        "pair, window",
-        [((5, 7), 1), ((2, 4), 1), ((4, 6), 2), ((3, 9), 10**30), ((199039, 199049), 2)],
-    )
-    def test_pair_builds_no_table(self, monkeypatch, pair, window):
-        calls = table_calls(monkeypatch, stub=True)
-        size = semigroup.Semigroup(pair).window_size(window)
-        assert calls == Counter()
-        if pair == (199039, 199049):
-            assert size == 7
+        # Every class's least element lies below m_1 times the largest
+        # generator, so a window past that holds exactly the multiples of
+        # the generators' gcd d, and its ends, multiples of the generator
+        # sum, are multiples of d too.
+        sigma = sum(gens)
+        window = gens[0] * gens[-1] // sigma + 2
+        expected = sigma // math.gcd(*gens) - 1
+        assert bounded(gens, window * sigma).window_size(window) == expected
 
     def test_bad_window_index(self):
         with pytest.raises(ValueError):
-            semigroup.Semigroup((3, 5)).window_size(0)
+            bounded((3, 5), 20).window_size(0)
 
     def test_length_3_scan_lists_no_window(self, monkeypatch):
-        # Every window a scan sizes is counted per class, so none is listed,
+        # Every window a scan sizes is a count of bits, so none is listed,
         # through ``Semigroup.window`` or the table wrapper over it.
         calls = Counter()
         window = semigroup.Semigroup.window
@@ -569,7 +519,88 @@ class TestWindowSize:
         assert core.scan(3, 30)
         assert calls == Counter()
         core.scan(4, 12)
+        core.scan(5, 14)
         assert calls == Counter()
+
+
+class TestBoundedSemigroup:
+    """The scan's bitset, made one child at a time, against ``Semigroup``
+    and the nested-loop oracles at every t and every window below its
+    width: prefixes of gcd > 1 and prefixes with generators that are not
+    minimal among them."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(generator_tuples, st.integers(0, 150))
+    # A lone 1 needs every doubling step: shifts 1, 2 and 4 reach t = 5.
+    @example((1,), 4)
+    @example((2,), 0)
+    @example((3, 6, 9), 40)
+    @example((4, 6, 8), 40)
+    @example((6, 10, 15), 60)
+    @example((5, 7, 9, 11, 13), 100)
+    def test_matches_semigroup_and_oracles(self, gens, extra):
+        width = gens[-1] + 1 + extra
+        bits, group = bounded(gens, width), semigroup.Semigroup(gens)
+        small = len(gens) <= 3
+        for t in range(width):
+            expected = group.contains(t)
+            assert bits.contains(t) == expected, t
+            if small:
+                assert expected == oracle_representable(gens, t), t
+        assert bits.minimal == group._minimal()
+        sigma = sum(gens)
+        for window in range(1, width // sigma + 1):
+            elements = group.window(window).elements
+            assert bits.window_size(window) == len(elements), window
+            if small:
+                assert list(elements) == oracle_window_elements(gens, window), window
+
+    @settings(deadline=None, max_examples=80)
+    @given(generator_tuples, st.integers(1, 120))
+    @example((4,), 9)
+    @example((2, 4), 11)
+    @example((3, 9), 1)
+    @example((6, 10, 15), 47)
+    @example((1, 2), 1)
+    def test_mask_matches_sieve(self, gens, stop):
+        sieve = semigroup.build_sieve(gens, stop)
+        bits = bounded(gens, max(stop, gens[-1] + 1))
+        assert bits.mask(stop) == digits(sieve_contains(sieve, t) for t in range(stop))
+
+    def test_window_1_drops_minimal_generators(self):
+        # <3, 5, 7> holds 3 and 5 to 14 in window 1, (0, 15); the minimal
+        # generators 3, 5 and 7 are not blocked.  In (3, 6, 9) only 3 is
+        # minimal, so 6 and 9 stay.
+        assert bounded((3, 5, 7), 16).window_size(1) == 8
+        assert bounded((3, 6, 9), 19).window_size(1) == 4
+        assert bounded((3, 6, 9), 19).minimal == (3,)
+
+    def test_wide_sparse_mask_and_window(self, monkeypatch):
+        calls = table_calls(monkeypatch, stub=True)
+        bits = bounded((199039, 199049), 796177)
+        mask = bits.mask(398099)
+        members = [t for t in range(398099) if mask[t] == ord("1")]
+        assert members == [0, 199039, 199049, 398078, 398088, 398098]
+        assert bits.window_size(2) == 7
+        assert calls == Counter()
+
+    def test_child_leaves_its_parent(self):
+        parent = bounded((4, 6), 30)
+        before = (parent.gens, parent.bits, parent.minimal)
+        assert parent.child(9).contains(13)
+        assert (parent.gens, parent.bits, parent.minimal) == before
+        assert not parent.contains(13)
+
+    @pytest.mark.parametrize("a, b, M", [(5, 5, 1), (7, 5, 1), (0, 5, 1), (3, 20, 1), (3, 5, 0)])
+    def test_bad_arguments(self, a, b, M):
+        # Each child's generator exceeds the last and lies below the width
+        # (20 here), and a window index is at least 1.
+        with pytest.raises(ValueError):
+            bounded((a, b), 20).window_size(M)
+
+    def test_child_must_extend_upwards(self):
+        with pytest.raises(ValueError, match="must lie in"):
+            bounded((3, 5), 20).child(4)
 
 
 class TestRepresentability:
