@@ -229,18 +229,16 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-# The output's buffer.  With the default 8 KiB, the 6 MB JSON listing of
-# ``resonances 2 3 5 7 253`` took over 700 write calls and 5.7 ms to write
-# to a file on a 2-core host; with 32 KiB, 3.6 ms.  A larger buffer saves
-# less and adds to the peak memory that the output tests bound.
+# The output's buffer.  With 8 KiB, writing the 6 MB JSON of ``resonances
+# 2 3 5 7 253`` on a 2-core host took over 700 write calls, 5.7 ms to a file
+# and 6.4 ms to a pipe; with 32 KiB, 3.6 and 2.9 ms.  More costs memory.
 _OUT_BUFFER = 32 * 1024
 
 
 def _write(chunks: Iterable[bytes], out: str | None) -> None:
-    """Write the chunks, in order, to the ``--out`` file or to stdout, after
-    anything already written to stdout as text, through a buffer of
-    ``_OUT_BUFFER`` bytes either way.  A stdout with no file descriptor,
-    such as a test's capture, takes them through its own binary stream."""
+    """Write the chunks in order to the ``--out`` file or stdout's file
+    descriptor, after any text on stdout, through ``_OUT_BUFFER``; a stdout
+    with no descriptor, as in a test, through its binary stream."""
     target, closefd = out, True
     if out is None:
         # sys.stdout itself: click's text stream can be a new wrapper over
@@ -251,7 +249,7 @@ def _write(chunks: Iterable[bytes], out: str | None) -> None:
         stream = click.get_binary_stream("stdout")
         try:
             target, closefd = stream.fileno(), False
-        except OSError:
+        except (AttributeError, OSError):
             stream.writelines(chunks)
             stream.flush()
             return

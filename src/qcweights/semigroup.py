@@ -339,13 +339,12 @@ class BoundedSemigroup:
     bits of one int, for a walk that adds one generator at a time.
 
     Bit t of ``bits`` is 1 iff t is a nonnegative combination of the
-    generators, for 0 <= t < width, and ``minimal`` holds the minimal
-    generators.  ``BoundedSemigroup(width)`` is {0}, with no generators, and
-    ``child(g)`` adds one.  ``contains(t)`` is 1 or 0 for 0 <= t < width,
-    ``mask(stop)`` is the membership of 0, ..., stop - 1 as ASCII digits for
-    1 <= stop <= width, and ``window_size(M)`` is
-    ``len(Semigroup(gens).window(M).elements)`` for every window that ends
-    at or below the width.  A scan of n entries up to max_weight sizes
+    generators, and ``minimal`` holds the minimal generators.
+    ``BoundedSemigroup(width)`` is {0}, and ``child(g)`` adds a generator.
+    ``contains(t)`` is 1 or 0 for 0 <= t < width, ``mask(stop)`` the
+    membership of 0, ..., stop - 1 as ASCII digits and ``window_size(M)``
+    ``len(Semigroup(gens).window(M).elements)``; a mask or window past the
+    width raises ``ValueError``.  A scan of n entries up to max_weight sizes
     windows that end below max_weight plus a prefix sum, so a width of
     n * max_weight + 1 serves all of it.
     """
@@ -384,13 +383,17 @@ class BoundedSemigroup:
         return self.bits >> t & 1
 
     def mask(self, stop: int) -> bytearray:
-        # Bit t is the t-th digit from the right, so the digits are reversed.
-        return bytearray(format(self.bits & ((1 << stop) - 1), "0%db" % stop)[::-1], "ascii")
+        if stop > self.width:
+            raise ValueError(f"stop {stop} is past the width {self.width}")
+        # Bit t is digit t from the right; the 1 at bit stop keeps the zeros.
+        return bytearray(bin(self.bits & ((1 << stop) - 1) | 1 << stop)[:2:-1], "ascii")
 
     def window_size(self, M: int) -> int:
         # The elements in (lo, hi), less the minimal generators, which only
         # window 1 holds (a lone generator is its top).
         lo, hi = window_interval(sum(self.gens), _check_window(M))
+        if hi > self.width:
+            raise ValueError(f"window {M} ends past the width {self.width}")
         size = ((self.bits & ((1 << hi) - 1)) >> (lo + 1)).bit_count()
         if M == 1:
             size -= sum(g < hi for g in self.minimal)

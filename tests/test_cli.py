@@ -806,6 +806,40 @@ class TestOutputSinks:
         assert (proc.returncode, proc.stderr) == (expected_code, b"")
         assert strip_elapsed(proc.stdout.decode()) == (GOLDEN / golden).read_text()
 
+    def test_binary_stdout_without_a_file_descriptor(self, monkeypatch):
+        # A replacement stdout whose binary buffer has write, writelines and
+        # flush but no fileno takes the bytes through that buffer.
+        class Buffer:
+            def __init__(self):
+                self.data = bytearray()
+
+            def write(self, data):
+                self.data += data
+                return len(data)
+
+            def writelines(self, chunks):
+                for chunk in chunks:
+                    self.write(chunk)
+
+            def flush(self):
+                pass
+
+        class Text:
+            buffer = Buffer()
+
+            def write(self, text):
+                # Text only, so that click looks for the binary buffer.
+                if not isinstance(text, str):
+                    raise TypeError("text only")
+                return len(text)
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", Text())
+        assert main(["table", "d-table"]) == 0
+        assert Text.buffer.data.decode() == (GOLDEN / "d_table.txt").read_text()
+
     def test_pipe_equals_out_file_past_the_buffer(self, tmp_path):
         # Some hundred kilobytes, many times the output buffer, through a
         # pipe and through --out.

@@ -177,8 +177,8 @@ class TestOneGenerator:
         assert (group.d, group.period, group.inverse) == (g, 1, 0)
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 20), st.integers(1, 5), st.integers(1, 80))
-    @example(1, 1, 1)
+    @given(st.integers(1, 20), st.integers(1, 5), st.integers(0, 80))
+    @example(1, 1, 0)
     @example(5, 1, 7)
     @example(3, 2, 30)
     def test_window_mask_and_table_match_sieve(self, g, window, stop):
@@ -556,12 +556,12 @@ class TestBoundedSemigroup:
                 assert list(elements) == oracle_window_elements(gens, window), window
 
     @settings(deadline=None, max_examples=80)
-    @given(generator_tuples, st.integers(1, 120))
+    @given(generator_tuples, st.integers(0, 120))
     @example((4,), 9)
     @example((2, 4), 11)
     @example((3, 9), 1)
     @example((6, 10, 15), 47)
-    @example((1, 2), 1)
+    @example((1, 2), 0)
     def test_mask_matches_sieve(self, gens, stop):
         sieve = semigroup.build_sieve(gens, stop)
         bits = bounded(gens, max(stop, gens[-1] + 1))
@@ -591,12 +591,19 @@ class TestBoundedSemigroup:
         assert (parent.gens, parent.bits, parent.minimal) == before
         assert not parent.contains(13)
 
-    @pytest.mark.parametrize("a, b, M", [(5, 5, 1), (7, 5, 1), (0, 5, 1), (3, 20, 1), (3, 5, 0)])
-    def test_bad_arguments(self, a, b, M):
+    @pytest.mark.parametrize(
+        "a, b, M, stop",
+        [(5, 5, 1, 0), (7, 5, 1, 0), (0, 5, 1, 0), (3, 20, 1, 0), (3, 5, 0, 0), (3, 5, 3, 0),
+         (3, 5, 1, 21)],
+    )
+    def test_bad_arguments(self, a, b, M, stop):
         # Each child's generator exceeds the last and lies below the width
-        # (20 here), and a window index is at least 1.
+        # (20 here), a window index is at least 1, and a window, here
+        # (16, 24) for M = 3, or a mask ends at or below the width.
         with pytest.raises(ValueError):
-            bounded((a, b), 20).window_size(M)
+            bits = bounded((a, b), 20)
+            bits.mask(stop)
+            bits.window_size(M)
 
     def test_child_must_extend_upwards(self):
         with pytest.raises(ValueError, match="must lie in"):
