@@ -33,14 +33,11 @@ Long answers are written in runs and batches, not one item at a time:
   ``core.scan`` holds (``ScanRows.stretches``).  A stretch's rows differ
   only in their last entry and their count, so its line is made once, in
   JSON from the cached ``_scan_row_template`` of its shape, with every
-  other slot filled; text and CSV lines are made the same way.  Each piece
-  of at most ``_ITEM_CHUNK`` rows is then one ``%`` of its rows' lines over
-  their last entries and counts, with no tuple per row.
+  other slot filled; text and CSV lines are made the same way.  A piece of
+  whole stretches, from ``_ITEM_CHUNK`` rows, is then one ``%`` of their
+  lines over their last entries and counts, with no tuple per row.
 
-The templates are ``bytes`` with ``%d`` integer slots: CPython's
-``bytes % args`` finds each next ``%`` with ``memchr``, where ``str % args``
-steps through the format one character at a time, and most of each row or
-witness template is fixed text.
+The templates are ``bytes``, whose ``%`` skips fixed text with ``memchr``.
 
 Every command runs through one runner, ``_command``.  A command's body
 takes its own click parameters and answers: it computes its answer and
@@ -131,12 +128,13 @@ _backend_option = click.option(
 # as one string.
 _INT_CHUNK = 4096
 
-# A ``Resonances`` or ``ScanRows`` array, of resonance witnesses or scan
-# rows of a few hundred bytes each, is written this many items per chunk,
-# with one ``%`` per chunk of rows and per stretch of a chunk's witnesses of
-# one pair.  A ``%`` over a longer batch grows the heap: at 256 items,
-# rendering the 32,865 rows of ``scan --n 3 --max 70`` raised peak RSS by
-# 2 MB after one pass and 5 MB after nine; at 64, by nothing.
+# Witnesses of a ``Resonances`` array are written this many per ``%``, and
+# rows of a ``ScanRows`` array a piece of whole stretches at a time, closed
+# at this many rows or more.  A ``%`` over a longer batch grows the heap: at
+# 256 items, rendering the 32,865 rows of ``scan --n 3 --max 70`` raised
+# peak RSS by 2 MB after one pass and 5 MB after nine; at 64, or at pieces
+# of whole stretches from 64 rows (the longest stretch there has 33), by
+# nothing.
 _ITEM_CHUNK = 64
 
 # The last three digits of the integers of an aligned block of 1,000, as
@@ -311,7 +309,7 @@ def _json_chunks(value, indent: bytes = b"\n") -> Iterator[bytes]:
         sep = b"," + inner
         head = b"[" + inner
         if type(value) is Resonances or type(value) is ScanRows:
-            # Nonempty pieces, of at most _ITEM_CHUNK items each.
+            # Nonempty pieces, of about _ITEM_CHUNK items each.
             if type(value) is Resonances:
                 pieces = _witness_pieces(value.arrays, inner)
             else:
@@ -653,9 +651,11 @@ def _scan_json_line(indent: bytes, stretch: tuple) -> bytes:
     # The JSON of a row of the stretch with its fixed slots filled: a
     # template whose two slots are the row's n_resonances and its last entry.
     head, witnesses, failure, sizes = stretch[:4]
-    nulls = tuple(s is None for s in sizes)
-    if True in nulls:
+    if None in sizes:
+        nulls = tuple(s is None for s in sizes)
         sizes = [s for s in sizes if s is not None]
+    else:
+        nulls = (False,) * len(sizes)
     template = _scan_row_template(
         len(head) + 1, len(witnesses), nulls, failure is not None, indent
     )
@@ -699,27 +699,44 @@ def _row_pieces(
     stretches, line: Callable[[tuple], bytes], sep: bytes, count_first: bool
 ) -> Iterator[bytes]:
     """The rows of ``ScanRows.stretches`` joined by ``sep``, in pieces of
-    ``_ITEM_CHUNK`` rows, the last one shorter.  ``line(stretch)`` is a row
-    of the stretch with two ``%d`` slots left, its last entry and its
-    n_resonances, in that order unless ``count_first``; each piece is one
-    ``%`` of the lines of its rows."""
+    whole stretches from ``_ITEM_CHUNK`` rows, a longer stretch cut into
+    pieces of ``_ITEM_CHUNK``.  ``line(stretch)`` is a row of the stretch
+    with ``%d`` slots for its last entry and its n_resonances, in that order
+    unless ``count_first``."""
     templates: list[bytes] = []
-    values: list = []
+    ms_all: list[int] = []
+    counts_all: list[int] = []
     for stretch in stretches:
         ms, counts = stretch[4:]
-        pairs = zip(counts, ms) if count_first else zip(ms, counts)
-        template = line(stretch)
-        left = len(ms)
-        while left:
-            taken = min(left, _ITEM_CHUNK - len(templates))
-            templates += [template] * taken
-            values += chain.from_iterable(islice(pairs, taken))
-            left -= taken
-            if len(templates) == _ITEM_CHUNK:
-                yield sep.join(templates) % tuple(values)
-                templates, values = [], []
-    if templates:
-        yield sep.join(templates) % tuple(values)
+        if not ms:
+            continue
+        row = sep + line(stretch)
+        if len(ms) > _ITEM_CHUNK:
+            if ms_all:
+                yield _filled(templates, ms_all, counts_all, sep, count_first)
+                templates, ms_all, counts_all = [], [], []
+            for at in range(0, len(ms), _ITEM_CHUNK):
+                part = ms[at : at + _ITEM_CHUNK]
+                cut = counts[at : at + _ITEM_CHUNK]
+                yield _filled([row * len(part)], part, cut, sep, count_first)
+            continue
+        templates.append(row * len(ms))
+        ms_all += ms
+        counts_all += counts
+        if len(ms_all) >= _ITEM_CHUNK:
+            yield _filled(templates, ms_all, counts_all, sep, count_first)
+            templates, ms_all, counts_all = [], [], []
+    if ms_all:
+        yield _filled(templates, ms_all, counts_all, sep, count_first)
+
+
+def _filled(templates: list[bytes], ms: list, counts: list, sep: bytes, count_first: bool) -> bytes:
+    # The templates joined, less the first sep, filled with each row's two
+    # values.
+    templates[0] = templates[0][len(sep) :]
+    values = [0] * (2 * len(ms))
+    values[::2], values[1::2] = (counts, ms) if count_first else (ms, counts)
+    return b"".join(templates) % tuple(values)
 
 
 def _scan_rows_json(stretches, indent: bytes) -> Iterator[bytes]:

@@ -9,9 +9,12 @@ nested-loop searches are the ground truth the fast paths are tested against.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import itertools
 import math
 import operator
+import sys
 from collections.abc import Callable, Iterable, Iterator
 
 from qcweights import semigroup
@@ -432,18 +435,43 @@ def resonances(weight, _degree_bound: int | None = None) -> Resonances:
     return Resonances(resonance_arrays(weight, _degree_bound))
 
 
-def extend_ways(ways: list[int], part: int) -> list[int]:
-    """Coin-change counts with one more part allowed.
+# memoryview.cast formats by field width in bits.
+_FIELD_FORMATS = {memoryview(b"").cast(code).itemsize * 8: code for code in "BHIQ"}
 
-    ``ways[t]`` counts the multi-indices k >= 0 with sum(parts[r] * k_r) == t
-    over some parts; the result counts them over those parts and ``part``,
-    for the same range of t.  Over the prefix m_1, ..., m_{j-1}, the entry at
-    m_j - m_i is the number of resonance witnesses of the pair (i, j).
-    """
-    out = list(ways)
-    for t in range(part, len(out)):
-        out[t] += out[t - part]
-    return out
+
+def _ways_field(n: int, max_weight: int) -> int:
+    # Bits per packed count.  Over d <= n - 1 parts, a solution's first
+    # d - 1 coordinates are at most t <= max_weight and fix the last, so no
+    # read, a sum of d counts, exceeds (n - 1) * (max_weight + 1)**(n - 2).
+    bits = ((n - 1) * (max_weight + 1) ** (n - 2)).bit_length()
+    return next((f for f in _FIELD_FORMATS if bits <= f), -(-bits // 8) * 8)
+
+
+def _extend_ways(ways: int, part: int, field: int, top: int) -> int:
+    """Coin-change counts with one more part allowed: ``ways`` packs the
+    number of k >= 0 with sum(parts[r] * k_r) == t, t = 0..top, at bit
+    field * t; over m_1..m_{j-1}, t = m_j - m_i counts the witnesses of
+    (i, j).  Doubling as in ``BoundedSemigroup.child``."""
+    full = (1 << field * (top + 1)) - 1
+    shift = part
+    while shift <= top:
+        ways += ways << field * shift & full
+        shift <<= 1
+    return ways
+
+
+def _read_ways(ways: int, entries: tuple[int, ...], start: int, stop: int, field: int):
+    """[sum(ways[m - e] for e in entries) for m in range(start, stop)], every
+    e below start: one sum of shifted copies, cast to ints as one buffer."""
+    total = 0
+    for e in entries:
+        total += ways >> field * (start - e)
+    size, count = field // 8, stop - start
+    data = (total & ((1 << field * count) - 1)).to_bytes(size * count, sys.byteorder)
+    code = _FIELD_FORMATS.get(field)
+    if code is not None:
+        return memoryview(data).cast(code)
+    return [int.from_bytes(data[at : at + size], sys.byteorder) for at in range(0, len(data), size)]
 
 
 # What an m makes at the last level of a scan, besides no row (0): a row with
@@ -496,32 +524,18 @@ def scan(
 
     One depth-first walk over prefixes: an entry m_j is judged against its
     prefix alone, so each prefix's verdict, semigroup, coin-change counts
-    and window sizes are made once and shared by all its extensions.  They
-    live only while that prefix is being extended.  Each prefix's
-    semigroup is a ``semigroup.BoundedSemigroup``, its parent's ``child``:
-    its elements below n * max_weight + 1, past which no window the scan
-    sizes ends, as the bits of one int, made from the parent's by a few
-    shifts, with no Apery table.  Both filters hold for a weight only if
-    they hold for each of its prefixes (a failure is final and the
-    witnesses of a prefix are witnesses of the weight), so they prune whole
-    subtrees.
+    and window sizes are made once, shared by all its extensions and kept
+    only while it is extended.  The semigroup (``BoundedSemigroup``) and
+    the counts (``_extend_ways``) are each one int, made from the parent's
+    by shift-and-add doubling.  Both filters hold for a weight only if they
+    hold for each of its prefixes, so they prune whole subtrees.
 
-    Inner prefixes are judged by ``_Prefix.judge``.  The last level, which
-    makes every row, selects its rows without a call per m.  A ``bytearray``
-    over 0..max_weight marks what each m would make: no row where m shares a
-    prime with the prefix gcd, else a pass, an obstruction hit where m lies
-    in the prefix's semigroup (``BoundedSemigroup.mask``, the prefix's bits
-    as digits) or no window where the prefix sum divides m.  The resonance
-    counts of all its rows are read off the coin-change counts at the prefix
-    entries' fixed offsets.  Under the resonance-free filter the zero counts
-    mark the rows instead, as every member of the semigroup has a resonance.
-    Each window's rows are then one ``itertools.compress`` over its integers
-    and one over its counts, and are kept as stretches that share their
-    witnesses, failure and window sizes: one stretch per window under either
-    filter, and with none one per maximal run of one failure.  Window sizes
-    come from ``BoundedSemigroup.window_size``, one count of the window's
-    bits, once per window that makes a row.  The rows of a stretch are made
-    only as the returned sequence is read.
+    Inner prefixes are judged by ``_Prefix.judge``; ``leaf`` makes the
+    last level's rows with no call per m, from a ``bytearray`` of what each
+    m would make and one read of all their counts (``_read_ways``), as
+    stretches of rows that share witnesses, failure and window sizes: one
+    per window under either filter, else one per run of one failure.  Rows
+    are made only as the returned sequence is read.
     """
     n, max_weight = operator.index(n), operator.index(max_weight)
     if n < 2:
@@ -537,13 +551,14 @@ def scan(
     no_window = ClassFailure(NO_WINDOW_EXISTS, n)
     hit = ClassFailure(OBSTRUCTION_SET_HIT, n)
     kinds_of_members = _IN_CLASS_KINDS if in_class_only else _ROW_KINDS
-    # Deficits m_j - m_i stay below max_weight.
-    unit = [1] + [0] * max_weight
+    field = _ways_field(n, max_weight)
+    extend, read = _extend_ways, _read_ways
+    # Prefix gcds repeat across the scan.
+    prime_factors = functools.cache(_prime_factors)
 
-    def leaf(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
-        entries, group, head = prefix.entries, prefix.group, prefix.witnesses
+    def leaf(group, head: tuple, failure, gcd: int, ways: int, n_res: int, sizes: tuple):
+        entries = group.gens
         start, stop = entries[-1] + 1, max_weight + 1
-        failure = prefix.failure
         level_2 = len(entries) < 2
         if level_2:
             # gcd is m_1, so the multiples of m_1, which fail the base case
@@ -553,16 +568,12 @@ def scan(
             return
         # The m-th count is n_res plus the witnesses of the pairs (i, n), each
         # read from ways at m - m_i.
-        counts = ways[start - entries[0] : stop - entries[0]]
-        for e in entries[1:]:
-            counts = map(operator.add, counts, ways[start - e : stop - e])
+        counts = read(ways, entries, start, stop, field)
         if n_res:
-            counts = map(n_res.__add__, counts)
-        counts = list(counts)
+            counts = [*map(n_res.__add__, counts)]
         # kinds[m]: 0 no row, _PASS a row of the prefix's verdict, _HIT an
-        # obstruction hit, _NO_WINDOW a multiple of the prefix sum.  Level 2
-        # has no window, which one window as wide as the scan gives.
-        sigma = stop if level_2 else prefix.sigma
+        # obstruction hit, _NO_WINDOW a multiple of the prefix sum.
+        sigma = group.sigma
         if resonance_free_only:
             # A member m of the prefix's semigroup, a multiple of sigma
             # among them, is some m_i plus a member, so ways[m - m_i] and its
@@ -577,36 +588,40 @@ def scan(
             kinds = bytearray((_PASS,)) * stop
         # Under either filter every row is of the prefix's verdict.
         one_kind = in_class_only or resonance_free_only
-        if not one_kind:
+        if not one_kind and not level_2:
             kinds[::sigma] = bytes((_NO_WINDOW,)) * len(range(0, stop, sigma))
         if gcd != 1:
-            _drop_multiples(kinds, 0, _prime_factors(gcd))
-        for lo in range(start - start % sigma, stop, sigma):
-            first = lo if lo > start else start
-            hi = lo + sigma
-            selected = kinds[first:hi]
-            ms = [*itertools.compress(range(first, hi), selected)]
-            if not ms:
+            _drop_multiples(kinds, 0, prime_factors(gcd))
+        # The rows of every window at once, then each window's slice.
+        selected = kinds[start:]
+        ms = [*itertools.compress(range(start, stop), selected)]
+        if not ms:
+            return
+        cs = [*itertools.compress(counts, selected)]
+        if level_2:
+            # Level 2 has no window: one stretch.
+            append((entries, (), failure, sizes, ms, cs))
+            return
+        if not one_kind:
+            kept_all = selected.translate(None, b"\0")
+        a = 0
+        for window in range(ms[0] // sigma + 1, ms[-1] // sigma + 2):
+            b = bisect.bisect_left(ms, window * sigma, a)
+            if a == b:
                 continue
-            cs = [*itertools.compress(counts[first - start : hi - start], selected)]
-            if level_2:
-                append((entries, (), failure, sizes, ms, cs))
-                continue
-            window = lo // sigma + 1
             witnesses = head if failure is not None else (*head, window)
             if one_kind:
-                # One stretch per window; sending these windows through the
-                # run split below took core.scan(3, 70, in_class_only=True)
-                # from 30.4 to 36.6 ms (process time, best of 9, 2-core host).
+                # One stretch per window: cheaper than the run split.
                 window_sizes = (*sizes, group.window_size(window))
                 append(
                     (entries, shared(witnesses, witnesses), failure,
-                     shared(window_sizes, window_sizes), ms, cs)
+                     shared(window_sizes, window_sizes), ms[a:b], cs[a:b])
                 )
+                a = b
                 continue
             # Split the window into runs of one kind; a no-window row can
             # only open it.
-            kept = selected.translate(None, b"\0")
+            kept = kept_all[a:b]
             window_sizes = None
             if kept[-1] != _NO_WINDOW:
                 window_sizes = (*sizes, group.window_size(window))
@@ -616,44 +631,48 @@ def scan(
                 (head, hit, window_sizes),
                 (head, no_window if failure is None else failure, (*sizes, None)),
             )
-            a = 0
             for kind, run in itertools.groupby(kept):
-                b = a + len([*run])
-                append((entries, *rows_of[kind], ms[a:b], cs[a:b]))
-                a = b
+                end = a + len([*run])
+                append((entries, *rows_of[kind], ms[a:end], cs[a:end]))
+                a = end
 
-    def walk(prefix: _Prefix, gcd: int, ways: list[int], n_res: int, sizes: tuple) -> None:
-        depth = len(prefix.entries)
-        if depth + 1 == n:
-            leaf(prefix, gcd, ways, n_res, sizes)
-            return
+    def walk(group, witnesses: tuple, failure, gcd: int, ways: int, n_res: int, sizes: tuple):
+        prefix = _Prefix(group, witnesses, failure)
+        entries = group.gens
+        depth = len(entries)
+        first, stop = entries[-1] + 1, max_weight - (n - depth - 1) + 1
+        counts = read(ways, entries, first, stop, field)
+        # Last-level prefixes go straight to leaf.
+        down = leaf if depth + 2 == n else walk
         window_sizes: dict[int, int] = {}
-        for m in range(prefix.entries[-1] + 1, max_weight - (n - depth - 1) + 1):
+        for m in range(first, stop):
             witnesses, failure = prefix.judge(m)
             if in_class_only and failure is not None:
                 continue
-            count = n_res + sum(ways[m - mi] for mi in prefix.entries)
+            count = n_res + counts[m - first]
             if resonance_free_only and count:
                 continue
             level_sizes = sizes
             if depth >= 2:
                 # The size of m's window, cached by index; None where sigma
                 # divides m.
-                window = window_index(prefix.sigma, m)
+                window = window_index(group.sigma, m)
                 size = window_sizes.get(window)
                 if size is None and window is not None:
-                    size = window_sizes[window] = prefix.group.window_size(window)
+                    size = window_sizes[window] = group.window_size(window)
                 level_sizes = (*sizes, size)
-            child = _Prefix(prefix.group.child(m), witnesses, failure)
-            walk(child, math.gcd(gcd, m), extend_ways(ways, m), count, level_sizes)
+            down(
+                group.child(m), witnesses, failure, math.gcd(gcd, m),
+                extend(ways, m, field, max_weight), count, level_sizes,
+            )
 
     root = semigroup.BoundedSemigroup(n * max_weight + 1)
+    down = leaf if n == 2 else walk
     for first in range(1, max_weight - n + 2):
-        walk(_Prefix(root.child(first)), first, extend_ways(unit, first), 0, ())
-    # walk reaches itself through its closure.  Breaking that cycle frees the
-    # closures, and the list of stretches they hold, when scan returns, so
-    # the rows go as soon as the returned sequence does, not at the next
-    # cyclic collection.
+        down(root.child(first), (), None, first, extend(1, first, field, max_weight), 0, ())
+    # walk reaches itself through its closure; breaking that cycle frees the
+    # closures and their stretches with the returned sequence, not at the
+    # next cyclic collection.
     del walk
     return ScanRows(stretches)
 

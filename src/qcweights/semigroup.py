@@ -339,7 +339,8 @@ class BoundedSemigroup:
     bits of one int, for a walk that adds one generator at a time.
 
     Bit t of ``bits`` is 1 iff t is a nonnegative combination of the
-    generators, and ``minimal`` holds the minimal generators.
+    generators, ``minimal`` holds the minimal generators and ``sigma`` is
+    ``sum(gens)``, the window width.
     ``BoundedSemigroup(width)`` is {0}, and ``child(g)`` adds a generator.
     ``contains(t)`` is 1 or 0 for 0 <= t < width, ``mask(stop)`` the
     membership of 0, ..., stop - 1 as ASCII digits and ``window_size(M)``
@@ -349,10 +350,11 @@ class BoundedSemigroup:
     n * max_weight + 1 serves all of it.
     """
 
-    __slots__ = ("width", "gens", "bits", "minimal")
+    __slots__ = ("width", "gens", "bits", "minimal", "sigma")
 
     def __init__(self, width: int, gens=(), bits: int = 1, minimal=()) -> None:
         self.width, self.gens, self.bits, self.minimal = width, gens, bits, minimal
+        self.sigma = sum(gens)
 
     def child(self, g: int) -> BoundedSemigroup:
         """The semigroup with g, above every generator and below the width,
@@ -390,13 +392,16 @@ class BoundedSemigroup:
 
     def window_size(self, M: int) -> int:
         # The elements in (lo, hi), less the minimal generators, which only
-        # window 1 holds (a lone generator is its top).
-        lo, hi = window_interval(sum(self.gens), _check_window(M))
+        # window 1 holds, all below sigma unless one generator is sigma.
+        sigma = self.sigma
+        hi = M * sigma
+        if M < 1:
+            raise ValueError("window index M must be >= 1")
         if hi > self.width:
             raise ValueError(f"window {M} ends past the width {self.width}")
-        size = ((self.bits & ((1 << hi) - 1)) >> (lo + 1)).bit_count()
-        if M == 1:
-            size -= sum(g < hi for g in self.minimal)
+        size = ((self.bits & ((1 << hi) - 1)) >> (hi - sigma + 1)).bit_count()
+        if M == 1 and len(self.gens) > 1:
+            size -= len(self.minimal)
         return size
 
 

@@ -79,6 +79,17 @@ def oracle_resonances(m):
     return sorted(out)
 
 
+def extend_ways(ways, part):
+    """Coin-change counts with one more part allowed, one list entry at a
+    time: ``ways[t]`` counts the multi-indices k >= 0 with
+    sum(parts[r] * k_r) == t over some parts, and the result counts them
+    over those parts and ``part``, for the same range of t."""
+    out = list(ways)
+    for t in range(part, len(out)):
+        out[t] += out[t - part]
+    return out
+
+
 def oracle_in_class(m):
     """Literal membership check searching every window index.
 

@@ -503,10 +503,12 @@ class TestInternalMismatchWiring:
     def test_scan_disagreement_exits_two(self, capsys, monkeypatch):
         import qcweights.cli as cli_mod
 
-        # One witness for every deficit: in-class weights then count as
-        # having resonances.
+        # One witness for every deficit, in every field of the packed
+        # counts: in-class weights then count as having resonances.
         monkeypatch.setattr(
-            cli_mod.core, "extend_ways", lambda ways, part: [1] * len(ways)
+            cli_mod.core,
+            "_extend_ways",
+            lambda ways, part, field, top: sum(1 << field * t for t in range(top + 1)),
         )
         code, _, err = run_cli(
             ["scan", "--n", "2", "--max", "4", "--filter", "disagree"], capsys
@@ -653,8 +655,15 @@ class TestCommandRunner:
                 "scan_n4_resfree_csv.txt",
                 0,
             ),
+            (["scan", "--n", "3", "--max", "12"], "scan_text.txt", 0),
+            (
+                ["scan", "--n", "4", "--max", "14", "--filter", "disagree", "--format", "csv"],
+                "scan_n4_disagree_csv.txt",
+                0,
+            ),
         ],
-        ids=["scan-csv", "classify-text", "scan-n4-resfree-csv"],
+        ids=["scan-csv", "classify-text", "scan-n4-resfree-csv", "scan-text",
+             "scan-n4-disagree-csv"],
     )
     def test_csv_and_negative_answer_match_goldens(self, capsys, argv, golden, expected_code):
         code, out, err = run_cli(argv, capsys)
@@ -716,6 +725,7 @@ class TestOutputSinks:
             (["scan", "--n", "3", "--max", "12"], "scan_json.txt"),
             (["resonances", "2", "3", "5", "7", "30"], "resonances_json.txt"),
             (["scan", "--n", "4", "--max", "14"], "scan_n4_json.txt"),
+            (["scan", "--n", "5", "--max", "13", "--filter", "both"], "scan_n5_both_json.txt"),
         ],
     )
     def test_golden_through_out_file(self, capsys, tmp_path, argv, golden):
@@ -795,8 +805,20 @@ class TestOutputSinks:
             (["resonances", "2", "3", "5", "7", "30", "--format", "json"],
              "resonances_json.txt", 3),
             (["table", "d-table"], "d_table.txt", 0),
+            (["scan", "--n", "3", "--max", "12"], "scan_text.txt", 0),
+            (
+                ["scan", "--n", "5", "--max", "13", "--filter", "both", "--format", "json"],
+                "scan_n5_both_json.txt",
+                0,
+            ),
+            (
+                ["scan", "--n", "4", "--max", "14", "--filter", "disagree", "--format", "csv"],
+                "scan_n4_disagree_csv.txt",
+                0,
+            ),
         ],
-        ids=["scan-json", "scan-n4-json", "scan-n4-resfree-csv", "resonances-json", "d-table"],
+        ids=["scan-json", "scan-n4-json", "scan-n4-resfree-csv", "resonances-json", "d-table",
+             "scan-text", "scan-n5-both-json", "scan-n4-disagree-csv"],
     )
     def test_goldens_through_a_pipe(self, argv, golden, expected_code):
         # stdout a real pipe: the bytes go through its file descriptor.
@@ -1345,8 +1367,9 @@ def _scan_outputs(echo, rows) -> dict[str, str]:
 
 class TestScanStretches:
     # Scan rows are written from per-window stretches, one `%` per piece of
-    # at most _ITEM_CHUNK rows; the bytes are those of the rows written one
-    # by one, and the disagree filter keeps the rows with resonances.
+    # whole stretches closed at _ITEM_CHUNK rows or more, a longer stretch
+    # cut into pieces of _ITEM_CHUNK; the bytes are those of the rows written
+    # one by one, and the disagree filter keeps the rows with resonances.
 
     @pytest.mark.parametrize(
         "lengths",

@@ -29,6 +29,7 @@ from qcweights.model import (
 )
 
 from oracles import (
+    extend_ways,
     oracle_in_class,
     oracle_resonances,
     oracle_window_elements,
@@ -813,18 +814,65 @@ class TestResonanceWitness:
         assert all(type(w) is ResonanceWitness for w in listed)
 
 
+def reference_resonance_count(m):
+    """The resonances of m, counted off the list reference's coin-change
+    counts of each prefix."""
+    ways, total = [1] + [0] * m[-1], 0
+    for j in range(2, len(m) + 1):
+        ways = extend_ways(ways, m[j - 2])
+        total += sum(ways[m[j - 1] - m[i - 1]] for i in range(1, j))
+    return total
+
+
 class TestResonanceCounting:
-    @settings(deadline=None, max_examples=60)
-    @given(small_weights(max_n=4, max_entry=30))
-    def test_counts_match_oracle_per_pair(self, m):
-        # The coin-change counts of each prefix give the number of witnesses
-        # of every pair (i, j) without listing them.
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.sets(st.integers(1, 30), min_size=1, max_size=4),
+        st.integers(2, 3),
+        st.integers(0, 40),
+        st.sampled_from([8, 16, 32, 64, 72, 128]),
+    )
+    @example({1}, 2, 40, 8)
+    @example({1, 2, 3, 4}, 2, 0, 72)
+    def test_counts_match_oracle_per_pair(self, entries, factor, room, wider):
+        # Prefixes of gcd > 1 and their packed coin-change counts, each
+        # field as wide as a scan of one more entry up to top makes it, or
+        # wider: every field equals the list reference's count, the
+        # reference's count at m_j - m_i is the number of witnesses of the
+        # pair (i, j), and a read over the prefix entries is the sum of
+        # their counts for every candidate m above them.
+        m = tuple(sorted(factor * e for e in entries))
+        top = m[-1] + room
+        field = max(core._ways_field(len(m) + 1, top), wider)
         expected = Counter((i, j) for i, j, _ in oracle_resonances(m))
-        ways = [1] + [0] * (m[-1] - m[0])
-        for j in range(2, len(m) + 1):
-            ways = core.extend_ways(ways, m[j - 2])
-            for i in range(1, j):
-                assert ways[m[j - 1] - m[i - 1]] == expected[(i, j)], (m, i, j)
+        ways, packed = [1] + [0] * top, 1
+        for d in range(1, len(m) + 1):
+            ways = extend_ways(ways, m[d - 1])
+            packed = core._extend_ways(packed, m[d - 1], field, top)
+            assert packed == sum(w << field * t for t, w in enumerate(ways)), (m, d)
+            if d < len(m):
+                for i in range(1, d + 1):
+                    assert ways[m[d] - m[i - 1]] == expected[(i, d + 1)], (m, i, d)
+            prefix, start = m[:d], m[d - 1] + 1
+            sums = [sum(ways[t - e] for e in prefix) for t in range(start, top + 1)]
+            assert [*core._read_ways(packed, prefix, start, top + 1, field)] == sums, (m, d)
+
+    @pytest.mark.parametrize("n", range(2, 31))
+    def test_unfiltered_scan_counts_match_reference(self, n):
+        # Row by row against the list reference, at field widths from 8 bits
+        # up to past 64, where the counts are read by int.from_bytes.
+        for top in (n, n + 1):
+            rows = core.scan(n, top)
+            assert [row.weight for row in rows] == [*valid_weights(n, top)]
+            for row in rows:
+                assert row.n_resonances == reference_resonance_count(row.weight), row.weight
+
+    def test_field_widths_reach_every_reader(self):
+        # The widths of the scans above: every memoryview.cast width, and
+        # wider ones.
+        widths = {core._ways_field(n, top) for n in range(2, 31) for top in (n, n + 1)}
+        assert {8, 16, 32, 64} < widths and max(widths) > 64
+        assert all(width % 8 == 0 for width in widths)
 
 
 class TestZeroSetEquivalence:
